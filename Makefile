@@ -44,12 +44,11 @@ bench:
 # standard sweep with -report (see DESIGN.md §8). The grid is the
 # column-kernel showcase (DESIGN.md §15): one synthesized gcc stream
 # feeds 50 direct-mapped geometry cells, and each 10-cell power-of-two
-# size column retires in a single stream pass, so the sweep is priced
-# at roughly one decode per reference per (line, policy) pair instead
-# of one pass per cell. Run the same command with -multisim=off for
-# the per-cell batch-kernel baseline (~190M refs/sec on the reference
-# box; BENCH_8's 16-cell mixed-policy grid recorded ~157M). CI's
-# bench-smoke job runs the same target and asserts the JSON parses.
+# size column retires in a single stream pass. Add -scalar for the
+# reference path (no columns, one Access per reference); the CSV is
+# byte-identical. Layer-by-layer numbers, per-family kernel costs
+# included, come from the committed benchmark (dynexbench/README.md).
+# CI's bench-smoke job runs the same target and asserts the JSON parses.
 bench-report:
 	go run ./cmd/dynex-sweep -bench gcc -refs 2000000 \
 		-sizes 1024,2048,4096,8192,16384,32768,65536,131072,262144,524288 \
@@ -64,6 +63,7 @@ fuzz:
 	go test -fuzz FuzzFSMInvariants -fuzztime 30s ./internal/core/
 	go test -fuzz FuzzFileReader -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
+	go test -fuzz FuzzColumnVsScalar -fuzztime 30s ./internal/conformance/
 
 # End-to-end crash-safety smoke for dynex-serve (DESIGN.md §12): start
 # the service (race-enabled build), submit a job, SIGTERM it mid-run,

@@ -83,14 +83,8 @@ func run(ctx context.Context) (err error) {
 		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile  = flag.String("trace-events", "", "write a structured JSONL event log of the run to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
-		multisim   = flag.String("multisim", "auto", "single-pass size-column kernels for the sweep figures: auto, on, or off (figure output is identical either way; see DESIGN.md §15)")
 	)
 	flag.Parse()
-	switch *multisim {
-	case "auto", "on", "off":
-	default:
-		return fmt.Errorf("bad -multisim %q: want auto, on, or off", *multisim)
-	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
@@ -172,7 +166,7 @@ func run(ctx context.Context) (err error) {
 			strconv.Itoa(*refs), strconv.FormatInt(*seed, 10))
 	}
 
-	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx, Multisim: *multisim})
+	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx})
 	// runExperiment wraps one experiment with telemetry annotations.
 	runExperiment := func(r experiments.Runner) fmt.Stringer {
 		if col != nil {

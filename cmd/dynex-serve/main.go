@@ -58,14 +58,8 @@ func run() error {
 		heartbeat    = flag.Duration("heartbeat", 10*time.Second, "idle heartbeat interval on result streams")
 		reportEvery  = flag.Duration("report-interval", 2*time.Second, "interval between report-delta frames on result streams")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
-		multisim     = flag.String("multisim", "auto", "single-pass size-column kernels for job grids: auto, on, or off (results are byte-identical either way; see DESIGN.md §15)")
 	)
 	flag.Parse()
-	switch *multisim {
-	case "auto", "on", "off":
-	default:
-		return fmt.Errorf("bad -multisim %q: want auto, on, or off", *multisim)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -83,7 +77,6 @@ func run() error {
 		DrainGrace:     *drainGrace,
 		Heartbeat:      *heartbeat,
 		ReportInterval: *reportEvery,
-		Multisim:       *multisim,
 	})
 	if err != nil {
 		return err

@@ -16,12 +16,13 @@
 // without re-simulating them — the resumed CSV is byte-identical to an
 // uninterrupted run's.
 //
-// Geometry-heavy sweeps ride the single-pass fast path (-multisim,
-// default auto): every power-of-two size column sharing one (benchmark,
-// line, policy) triple is simulated by a single internal/multisim column
-// kernel in one pass over the stream, while ineligible cells fall back
-// to cell-by-cell simulation (DESIGN.md §15). The CSV and the
-// checkpoint journal records are byte-identical to -multisim=off.
+// Geometry-heavy sweeps ride the single-pass fast path: every
+// power-of-two size column sharing one (benchmark, line, policy) triple
+// is simulated by a single internal/multisim column kernel in one pass
+// over the stream, while ineligible cells fall back to cell-by-cell
+// simulation (DESIGN.md §15). -scalar, the semantic reference, forms no
+// columns and drives every simulator one Access at a time; the CSV and
+// the checkpoint journal records are byte-identical either way.
 //
 // The sweep is instrumented (DESIGN.md §8): -report writes a machine-
 // readable RunReport (throughput, percentile cell latencies, retry/panic/
@@ -95,7 +96,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		retries     = fs.Int("retries", 0, "re-run transiently failing cells up to this many extra times")
 		cellTimeout = fs.Duration("cell-timeout", 0, "wall-clock budget per cell attempt (0 = none)")
 		scalarOnly  = fs.Bool("scalar", false, "disable the BatchAccess fast path; drive every simulator one Access at a time (CSV must be byte-identical)")
-		multisim    = fs.String("multisim", "auto", "single-pass size-column kernels: auto, on, or off (CSV must be byte-identical either way; see DESIGN.md §15)")
 		inject      = fs.String("inject", "", "fault injection for testing: stream-fail=N or panic=SUBSTR")
 		reportPath  = fs.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile   = fs.String("trace-events", "", "write a structured JSONL event log of the run to this file")
@@ -155,23 +155,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// -multisim resolves to a boolean here: auto means on, unless -scalar
-	// asked for the pure one-Access-at-a-time path (columns are batch
-	// kernels, so they cannot honor it). Forcing both is contradictory.
-	var useColumns bool
-	switch *multisim {
-	case "auto":
-		useColumns = !*scalarOnly
-	case "on":
-		if *scalarOnly {
-			return fmt.Errorf("-multisim=on and -scalar are mutually exclusive")
-		}
-		useColumns = true
-	case "off":
-	default:
-		return fmt.Errorf("bad -multisim %q: want auto, on, or off", *multisim)
-	}
-
 	var benchNames []string
 	if *suite {
 		for _, b := range spec.Suite() {
@@ -341,11 +324,13 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Column units (DESIGN.md §15): partition the pending cells into
 	// maximal single-pass size columns. Scheduling only — results,
 	// journal records, and CSV bytes are pinned identical to the
-	// cell-by-cell path. Panic-injected cells stay per-cell: the
-	// injection wraps the cell's own simulator, which a column kernel
-	// never constructs, so grouping them would un-inject the fault.
+	// cell-by-cell path. -scalar forms none: column kernels are batch
+	// kernels, so they cannot honor one Access per reference.
+	// Panic-injected cells stay per-cell: the injection wraps the cell's
+	// own simulator, which a column kernel never constructs, so grouping
+	// them would un-inject the fault.
 	var groups []engine.Group
-	if useColumns {
+	if !*scalarOnly {
 		var skip func(int) bool
 		if injectPanic != "" {
 			skip = func(pi int) bool { return strings.Contains(cells[pi].Label, injectPanic) }

@@ -13,7 +13,7 @@ import (
 // normalizeJournal parses a checkpoint journal and returns its records
 // with the wall-clock field zeroed and the lines sorted: everything a
 // journal promises (fingerprints, labels, stats, attempts) must match
-// across execution modes; wall time and completion order may not.
+// across execution strategies; wall time and completion order may not.
 func normalizeJournal(t *testing.T, path string) string {
 	t.Helper()
 	f, err := os.Open(path)
@@ -42,11 +42,12 @@ func normalizeJournal(t *testing.T, path string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestSweepMultisimByteIdentity is the tentpole acceptance check at the
+// TestSweepMultisimByteIdentity is the column-vs-reference check at the
 // CLI surface: the full policy registry over a power-of-two size grid
-// produces byte-identical CSV with -multisim=on and -multisim=off, and
-// the checkpoint journals record the same cells, fingerprints, and
-// stats (order and wall time are the only permitted differences).
+// produces byte-identical CSV by default (size columns on single-pass
+// kernels) and under -scalar (no columns, one Access per reference), and
+// the checkpoint journals record the same cells, fingerprints, and stats
+// (order and wall time are the only permitted differences).
 func TestSweepMultisimByteIdentity(t *testing.T) {
 	out, _, err := runSweep(t, "-list-policies")
 	if err != nil {
@@ -54,50 +55,39 @@ func TestSweepMultisimByteIdentity(t *testing.T) {
 	}
 	policies := strings.Join(strings.Fields(out), ",")
 	dir := t.TempDir()
-	jOn := filepath.Join(dir, "on.jsonl")
-	jOff := filepath.Join(dir, "off.jsonl")
+	jCol := filepath.Join(dir, "default.jsonl")
+	jRef := filepath.Join(dir, "scalar.jsonl")
 	args := []string{"-bench", "gcc", "-refs", "20000", "-sizes", "4096,8192,16384,32768",
 		"-lines", "4,16", "-policies", policies}
 
-	on, _, err := runSweep(t, append(args, "-multisim=on", "-checkpoint", jOn)...)
+	col, _, err := runSweep(t, append(args, "-checkpoint", jCol)...)
 	if err != nil {
-		t.Fatalf("-multisim=on run: %v", err)
+		t.Fatalf("default run: %v", err)
 	}
-	off, _, err := runSweep(t, append(args, "-multisim=off", "-checkpoint", jOff)...)
+	ref, _, err := runSweep(t, append(args, "-scalar", "-checkpoint", jRef)...)
 	if err != nil {
-		t.Fatalf("-multisim=off run: %v", err)
+		t.Fatalf("-scalar run: %v", err)
 	}
-	if on != off {
-		t.Errorf("-multisim=on CSV differs from -multisim=off:\n--- on\n%s--- off\n%s", on, off)
+	if col != ref {
+		t.Errorf("default CSV differs from -scalar:\n--- default\n%s--- scalar\n%s", col, ref)
 	}
-	if a, b := normalizeJournal(t, jOn), normalizeJournal(t, jOff); a != b {
-		t.Errorf("journals differ between modes:\n--- on\n%s\n--- off\n%s", a, b)
+	if a, b := normalizeJournal(t, jCol), normalizeJournal(t, jRef); a != b {
+		t.Errorf("journals differ between default and -scalar:\n--- default\n%s\n--- scalar\n%s", a, b)
 	}
 }
 
-// TestSweepMultisimFlag pins the flag surface: on conflicts with
-// -scalar (columns are inherently batched), and junk values are
-// rejected.
+// TestSweepMultisimFlag pins that -scalar, which forms no columns, runs
+// a multi-size grid (one the default run would partition into columns).
 func TestSweepMultisimFlag(t *testing.T) {
-	_, _, err := runSweep(t, "-bench", "gcc", "-refs", "1000", "-sizes", "4096,8192",
-		"-multisim=on", "-scalar")
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("-multisim=on -scalar: err = %v, want a mutual-exclusion error", err)
-	}
-	_, _, err = runSweep(t, "-bench", "gcc", "-refs", "1000", "-sizes", "4096", "-multisim=sometimes")
-	if err == nil || !strings.Contains(err.Error(), "bad -multisim") {
-		t.Errorf("bad value: err = %v, want a parse error", err)
-	}
-	// auto + -scalar is fine: columns just turn off.
 	if _, _, err := runSweep(t, "-bench", "gcc", "-refs", "1000", "-sizes", "4096,8192",
 		"-policies", "dm", "-scalar"); err != nil {
-		t.Errorf("-scalar under auto: %v", err)
+		t.Errorf("-scalar on a multi-size grid: %v", err)
 	}
 }
 
 // TestSweepMultisimResumeAcrossModes checks the checkpoint journal is
-// mode-blind: a journal written cell-by-cell resumes under -multisim=on
-// (and one written by column kernels resumes under -multisim=off) with
+// strategy-blind: a journal written under -scalar resumes by default
+// (with columns) and one written by default resumes under -scalar, with
 // CSV byte-identical to an uninterrupted run.
 func TestSweepMultisimResumeAcrossModes(t *testing.T) {
 	base := []string{"-bench", "gcc", "-refs", "20000", "-lines", "4",
@@ -109,35 +99,38 @@ func TestSweepMultisimResumeAcrossModes(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 
-	for _, swtch := range []struct{ writeMode, resumeMode string }{
-		{"off", "on"},
-		{"on", "off"},
+	for _, swtch := range []struct {
+		name          string
+		write, resume []string
+	}{
+		{"scalar->default", []string{"-scalar"}, nil},
+		{"default->scalar", nil, []string{"-scalar"}},
 	} {
 		ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-		// Journal part of the grid in one mode (one size: no column has
-		// two members, so "on" still writes cell-shaped records)...
-		partial := append([]string{"-sizes", "4096", "-checkpoint", ckpt, "-multisim=" + swtch.writeMode}, base...)
+		// Journal part of the grid one way (one size: no column has two
+		// members, so the default run still writes cell-shaped records)...
+		partial := append(append([]string{"-sizes", "4096", "-checkpoint", ckpt}, swtch.write...), base...)
 		if _, _, err := runSweep(t, partial...); err != nil {
-			t.Fatalf("partial %s run: %v", swtch.writeMode, err)
+			t.Fatalf("%s: partial run: %v", swtch.name, err)
 		}
-		// ...and resume the rest in the other mode.
-		got, stderr, err := runSweep(t, append(full, "-checkpoint", ckpt, "-multisim="+swtch.resumeMode)...)
+		// ...and resume the rest the other way.
+		got, stderr, err := runSweep(t, append(append(full, "-checkpoint", ckpt), swtch.resume...)...)
 		if err != nil {
-			t.Fatalf("resume under %s: %v\nstderr: %s", swtch.resumeMode, err, stderr)
+			t.Fatalf("%s: resume: %v\nstderr: %s", swtch.name, err, stderr)
 		}
 		if !strings.Contains(stderr, "resuming: 4 of 12 cells journaled") {
-			t.Errorf("%s->%s: stderr = %q, want a 4-of-12 resume banner", swtch.writeMode, swtch.resumeMode, stderr)
+			t.Errorf("%s: stderr = %q, want a 4-of-12 resume banner", swtch.name, stderr)
 		}
 		if got != want {
-			t.Errorf("%s->%s: resumed CSV differs from uninterrupted run", swtch.writeMode, swtch.resumeMode)
+			t.Errorf("%s: resumed CSV differs from uninterrupted run", swtch.name)
 		}
 	}
 }
 
 // TestSweepMultisimMidColumnKill kills members mid-column via fault
 // injection: the panicking size is carved out of its columns, the
-// surviving members journal, and a clean resume under -multisim=on
-// completes the grid byte-identically.
+// surviving members journal, and a clean resume completes the grid
+// byte-identically.
 func TestSweepMultisimMidColumnKill(t *testing.T) {
 	base := []string{"-bench", "gcc", "-refs", "20000", "-sizes", "4096,8192,16384",
 		"-policies", "dm,de"}
@@ -148,7 +141,7 @@ func TestSweepMultisimMidColumnKill(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-	_, stderr, err := runSweep(t, append([]string{"-checkpoint", ckpt, "-multisim=on",
+	_, stderr, err := runSweep(t, append([]string{"-checkpoint", ckpt,
 		"-inject", "panic=/16384"}, base...)...)
 	if err == nil || !strings.Contains(err.Error(), "2 of 6 cells failed") {
 		t.Fatalf("injected run: err = %v, want a 2-of-6 failure\nstderr: %s", err, stderr)
@@ -157,7 +150,7 @@ func TestSweepMultisimMidColumnKill(t *testing.T) {
 		t.Errorf("stderr = %q, want the injected panic reported", stderr)
 	}
 
-	got, stderr, err := runSweep(t, append([]string{"-checkpoint", ckpt, "-multisim=on"}, base...)...)
+	got, stderr, err := runSweep(t, append([]string{"-checkpoint", ckpt}, base...)...)
 	if err != nil {
 		t.Fatalf("resume: %v\nstderr: %s", err, stderr)
 	}
@@ -174,7 +167,7 @@ func TestSweepMultisimMidColumnKill(t *testing.T) {
 // without changing the CSV.
 func TestSweepMultisimStreamRetry(t *testing.T) {
 	args := []string{"-bench", "gcc", "-refs", "20000", "-sizes", "4096,8192",
-		"-policies", "dm,de", "-workers", "1", "-multisim=on"}
+		"-policies", "dm,de", "-workers", "1"}
 
 	want, _, err := runSweep(t, args...)
 	if err != nil {
@@ -185,7 +178,7 @@ func TestSweepMultisimStreamRetry(t *testing.T) {
 	}
 	got, _, err := runSweep(t, append(args, "-inject", "stream-fail=1", "-retries", "2")...)
 	if err != nil {
-		t.Fatalf("retries did not clear the fault under -multisim=on: %v", err)
+		t.Fatalf("retries did not clear the fault on column units: %v", err)
 	}
 	if got != want {
 		t.Error("retried column CSV differs from clean run")

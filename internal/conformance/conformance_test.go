@@ -80,7 +80,7 @@ func TestMultisimDifferential(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("line=%d", c.line), func(t *testing.T) {
-			CheckMultisimRegistry(t, c.line, c.sizes, Options{Streams: 3})
+			CheckColumnRegistry(t, c.line, c.sizes, Options{Streams: 3})
 		})
 	}
 }

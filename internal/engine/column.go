@@ -12,15 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the engine's column-unit surface. A column unit is one
-// schedulable piece of work that completes MANY cells at once: a
-// single-pass multi-geometry kernel (internal/multisim) drives an
-// entire power-of-two size column over one traversal of the shared
-// reference stream. The engine's guarantees do not dilute: results,
-// Collector events, OnResult calls, retries, and panic attribution
-// remain per cell, and a run with column units produces a result table
-// indistinguishable from the cell-by-cell one (grid CSV and checkpoint
-// byte-identity are pinned by cmd/dynex-sweep's -multisim tests).
+// This file is the engine's one unit of work. A unit completes one or
+// more cells in one pass over their shared reference stream: a column
+// Group's single-pass multi-geometry kernel (internal/multisim) drives
+// an entire power-of-two size column, and every other cell runs as a
+// one-member unit over its own simulator. The engine's guarantees do
+// not dilute: results, Collector events, OnResult calls, retries, and
+// panic attribution remain per cell, and a run with column units
+// produces a result table indistinguishable from the cell-by-cell one
+// (grid CSV and checkpoint byte-identity against dynex-sweep -scalar,
+// which forms no columns, are pinned by cmd/dynex-sweep's tests).
 
 // ColumnOutcome is one member cell's share of a column unit's single
 // pass: the full-stream Stats plus the policy-specific counters —
@@ -59,19 +60,21 @@ type Group struct {
 
 // RunGrouped is Run with column units: cells covered by a group are
 // simulated by that group's column kernel in one pass over the shared
-// stream, cells covered by no group run individually, and Results[i]
-// describes Cells[i] either way. Groups must reference distinct
-// in-range cells and carry a constructor; a malformed group set is an
-// error before anything runs. Progress counts cells, not units — a
-// finishing column advances done by its member count in one serialized
-// callback, and done is computed under the same lock that orders the
-// callbacks, so consumers never observe counts moving backwards.
+// stream, and Results[i] describes Cells[i] either way. Every cell no
+// group covers becomes a one-member unit of its own, so one unit path
+// (runUnit/attemptUnit) does all the work. Groups must reference
+// distinct in-range cells and carry a constructor; a malformed group
+// set is an error before anything runs. Progress counts cells, not
+// units — a finishing column advances done by its member count in one
+// serialized callback, and done is computed under the same lock that
+// orders the callbacks, so consumers never observe counts moving
+// backwards.
 func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options) ([]Result, error) {
 	results := make([]Result, len(cells))
 	if len(cells) == 0 {
 		return results, ctx.Err()
 	}
-	singles, err := ungrouped(len(cells), groups)
+	units, err := buildUnits(cells, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +86,7 @@ func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options)
 	// finish publishes a unit's completed cells: OnResult per member in
 	// member order, then one Progress call with the cumulative cell
 	// count.
-	finish := func(indices ...int) {
+	finish := func(indices []int) {
 		if opts.Progress == nil && opts.OnResult == nil {
 			return
 		}
@@ -99,50 +102,36 @@ func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options)
 			opts.Progress(doneCells, len(cells))
 		}
 	}
-	// Groups are scheduled before singletons: they are the long poles,
-	// so starting them first keeps the pool busy at the tail of a sweep.
-	nUnits := len(groups) + len(singles)
-	parfor(nUnits, clampWorkers(opts.Workers, nUnits), func(u int) {
-		if u >= len(groups) {
-			i := singles[u-len(groups)]
-			if err := ctx.Err(); err != nil {
-				results[i] = Result{Label: cells[i].Label, Err: err}
-				return
-			}
-			var queueWait time.Duration
-			if opts.Collector != nil {
-				queueWait = time.Since(runStart)
-				opts.Collector.CellStarted(CellStart{Index: i, Label: cells[i].Label, QueueWait: queueWait})
-			}
-			results[i] = runCell(ctx, i, cells[i], opts)
-			if opts.Collector != nil {
-				r := results[i]
-				opts.Collector.CellFinished(CellFinish{
-					Index: i, Label: r.Label, QueueWait: queueWait, Wall: r.Wall,
-					Attempts: r.Attempts, Refs: r.Stats.Accesses,
-					Outcome: OutcomeOf(r.Err), Err: r.Err, Extras: r.Extras,
-				})
-			}
-			finish(i)
-			return
-		}
-		g := groups[u]
+	parfor(len(units), clampWorkers(opts.Workers, len(units)), func(k int) {
+		u := units[k]
 		if err := ctx.Err(); err != nil {
-			for _, i := range g.Indices {
+			for _, i := range u.indices {
 				results[i] = Result{Label: cells[i].Label, Err: err}
 			}
-			return // skipped cells are not reported, mirroring singletons
+			return // skipped cells are not reported
 		}
-		runGroup(ctx, g, cells, results, opts, runStart)
-		finish(g.Indices...)
+		runUnit(ctx, u, cells, results, opts, runStart)
+		finish(u.indices)
 	})
 	return results, ctx.Err()
 }
 
-// ungrouped validates the group set against n cells and returns the
-// indices covered by no group, ascending.
-func ungrouped(n int, groups []Group) ([]int, error) {
-	covered := make([]bool, n)
+// unit is the engine's one unit of work: member cells completed together
+// by one pass over their shared stream.
+type unit struct {
+	// indices are the member cells, parallel to the column's Outcomes.
+	indices []int
+	// newColumn builds a fresh kernel per attempt.
+	newColumn func() (Column, error)
+}
+
+// buildUnits validates the group set against the cells and returns the
+// run's units: the groups first — they are the long poles, so starting
+// them first keeps the pool busy at the tail of a sweep — then every
+// cell no group covers as a one-member unit, ascending.
+func buildUnits(cells []Cell, groups []Group) ([]unit, error) {
+	covered := make([]bool, len(cells))
+	units := make([]unit, 0, len(cells)) // every unit holds at least one cell
 	for gi, g := range groups {
 		if len(g.Indices) == 0 {
 			return nil, fmt.Errorf("engine: group %d has no member cells", gi)
@@ -151,34 +140,81 @@ func ungrouped(n int, groups []Group) ([]int, error) {
 			return nil, fmt.Errorf("engine: group %d has no column constructor", gi)
 		}
 		for _, i := range g.Indices {
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("engine: group %d references cell %d of %d", gi, i, n)
+			if i < 0 || i >= len(cells) {
+				return nil, fmt.Errorf("engine: group %d references cell %d of %d", gi, i, len(cells))
 			}
 			if covered[i] {
 				return nil, fmt.Errorf("engine: cell %d is a member of more than one group", i)
 			}
 			covered[i] = true
 		}
+		units = append(units, unit{indices: g.Indices, newColumn: g.NewColumn})
 	}
-	var singles []int
 	for i, c := range covered {
 		if !c {
-			singles = append(singles, i)
+			units = append(units, cellUnit(i, cells[i]))
 		}
 	}
-	return singles, nil
+	return units, nil
 }
 
-// runGroup executes one column unit: every member cell starts together,
-// the kernel makes one pass over the shared stream, and each member
-// gets its own Result and Collector events. A recovered panic is
-// re-homed onto every member as its own *CellPanicError, so failures
-// attribute to individual cells even though the work was shared.
-func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts Options, runStart time.Time) {
+// cellUnit makes cell i a one-member unit: a Policy cell's simulator
+// behind policyColumn, a Direct cell as one whole-stream call, and a cell
+// with neither (or both) as a unit whose every attempt fails with
+// errNoPolicy.
+func cellUnit(i int, c Cell) unit {
+	u := unit{indices: []int{i}}
+	switch {
+	case c.Policy != nil && c.Direct == nil:
+		u.newColumn = func() (Column, error) {
+			sim, err := c.Policy(c.Geometry)
+			if err != nil {
+				return nil, err
+			}
+			return policyColumn{sim}, nil
+		}
+	case c.Direct != nil && c.Policy == nil:
+		u.newColumn = func() (Column, error) { return &directColumn{run: c.Direct, geom: c.Geometry}, nil }
+	default:
+		u.newColumn = func() (Column, error) { return nil, errNoPolicy }
+	}
+	return u
+}
+
+// policyColumn adapts a Policy cell's simulator to the Column contract.
+type policyColumn struct{ sim cache.Simulator }
+
+func (c policyColumn) Batch(refs []trace.Ref) { cache.RunRefs(c.sim, refs) }
+
+func (c policyColumn) Outcomes() []ColumnOutcome {
+	return []ColumnOutcome{{Stats: c.sim.Stats(), Extras: cache.SnapshotExtras(c.sim)}}
+}
+
+// directColumn adapts a Direct cell: attemptUnit hands it the whole
+// stream in one Batch call, which is the whole simulation, and a
+// failure surfaces through err.
+type directColumn struct {
+	run   DirectFunc
+	geom  cache.Geometry
+	stats cache.Stats
+	err   error
+}
+
+func (c *directColumn) Batch(refs []trace.Ref) { c.stats, c.err = c.run(refs, c.geom) }
+
+func (c *directColumn) Outcomes() []ColumnOutcome { return []ColumnOutcome{{Stats: c.stats}} }
+
+// runUnit executes one unit: every member cell starts together, the
+// kernel makes one pass over the shared stream per attempt, transiently
+// failing attempts re-run per opts.Retry, and each member gets its own
+// Result and Collector events. A recovered panic is re-homed onto every
+// member as its own *CellPanicError, so failures attribute to individual
+// cells even though the work was shared.
+func runUnit(ctx context.Context, u unit, cells []Cell, results []Result, opts Options, runStart time.Time) {
 	var queueWait time.Duration
 	if opts.Collector != nil {
 		queueWait = time.Since(runStart)
-		for _, i := range g.Indices {
+		for _, i := range u.indices {
 			opts.Collector.CellStarted(CellStart{Index: i, Label: cells[i].Label, QueueWait: queueWait})
 		}
 	}
@@ -190,11 +226,11 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	)
 	for attempt := 1; ; attempt++ {
 		attemptStart := time.Now()
-		outs, err = attemptGroup(ctx, g, cells, opts.CellTimeout)
+		outs, err = attemptUnit(ctx, u, cells, opts.CellTimeout)
 		attempts = attempt
 		if opts.Collector != nil {
 			wall := time.Since(attemptStart)
-			for _, i := range g.Indices {
+			for _, i := range u.indices {
 				opts.Collector.CellAttempted(CellAttempt{
 					Index: i, Label: cells[i].Label, Attempt: attempt,
 					Wall: wall, Outcome: OutcomeOf(err), Err: err,
@@ -214,7 +250,7 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	wall := time.Since(start)
 	var pe *CellPanicError
 	errors.As(err, &pe)
-	for k, i := range g.Indices {
+	for k, i := range u.indices {
 		r := Result{Label: cells[i].Label, Wall: wall, Attempts: attempts}
 		switch {
 		case err == nil:
@@ -236,11 +272,11 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	}
 }
 
-// attemptGroup runs one attempt of a column unit, recovering panics and
-// bounding the attempt by the per-cell timeout scaled to the member
-// count (a column does the work of that many cells in one unit).
-func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Duration) (outs []ColumnOutcome, err error) {
-	first := cells[g.Indices[0]]
+// attemptUnit runs one attempt of a unit, recovering panics and bounding
+// the attempt by the per-cell timeout scaled to the member count (a
+// column does the work of that many cells in one unit).
+func attemptUnit(ctx context.Context, u unit, cells []Cell, timeout time.Duration) (outs []ColumnOutcome, err error) {
+	first := cells[u.indices[0]]
 	defer func() {
 		if v := recover(); v != nil {
 			outs, err = nil, &CellPanicError{Label: first.Label, Value: v, Stack: debug.Stack()}
@@ -248,7 +284,7 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 	}()
 	var deadline time.Time
 	if timeout > 0 {
-		deadline = time.Now().Add(timeout * time.Duration(len(g.Indices)))
+		deadline = time.Now().Add(timeout * time.Duration(len(u.indices)))
 	}
 	var refs []trace.Ref
 	if first.Stream != nil {
@@ -259,15 +295,17 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 	if err := stepErr(ctx, deadline); err != nil {
 		return nil, err
 	}
-	col, err := g.NewColumn()
+	col, err := u.newColumn()
 	if err != nil {
 		return nil, err
 	}
+	direct, whole := col.(*directColumn)
+	if whole {
+		col.Batch(refs) // one call, even over an empty stream
+		refs = nil
+	}
 	for len(refs) > 0 {
-		n := driveChunk
-		if n > len(refs) {
-			n = len(refs)
-		}
+		n := min(driveChunk, len(refs))
 		col.Batch(refs[:n])
 		refs = refs[n:]
 		if len(refs) > 0 {
@@ -276,9 +314,12 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 			}
 		}
 	}
+	if whole && direct.err != nil {
+		return nil, direct.err
+	}
 	outs = col.Outcomes()
-	if len(outs) != len(g.Indices) {
-		return nil, fmt.Errorf("engine: column produced %d outcomes for %d member cells", len(outs), len(g.Indices))
+	if len(outs) != len(u.indices) {
+		return nil, fmt.Errorf("engine: column produced %d outcomes for %d member cells", len(outs), len(u.indices))
 	}
 	return outs, nil
 }

@@ -339,3 +339,43 @@ func TestConcurrentSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectCellWholeStream pins the Direct cell's unit shape: one call
+// with the whole materialized stream, never driveChunk slices, and a
+// failing call surfaces its own error with zero Stats and nil Extras.
+func TestDirectCellWholeStream(t *testing.T) {
+	boom := errors.New("boom")
+	n := 3*driveChunk + 5
+	var calls, seen atomic.Int64
+	direct := func(fail bool) DirectFunc {
+		return func(refs []trace.Ref, g cache.Geometry) (cache.Stats, error) {
+			calls.Add(1)
+			seen.Store(int64(len(refs)))
+			if fail {
+				return cache.Stats{Accesses: 1}, boom
+			}
+			return cache.Stats{Accesses: uint64(len(refs))}, nil
+		}
+	}
+	stream := func() ([]trace.Ref, error) { return seqRefs(0, n), nil }
+	for _, fail := range []bool{false, true} {
+		calls.Store(0)
+		results, err := Run(context.Background(), []Cell{
+			{Label: "direct", Geometry: cache.DM(64, 4), Stream: stream, Direct: direct(fail)},
+		}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() != 1 || seen.Load() != int64(n) {
+			t.Errorf("fail=%v: Direct called %d times, last with %d refs; want once with %d",
+				fail, calls.Load(), seen.Load(), n)
+		}
+		r := results[0]
+		switch {
+		case fail && (!errors.Is(r.Err, boom) || r.Stats != (cache.Stats{}) || r.Extras != nil):
+			t.Errorf("failing Direct cell = %+v, want boom with zero Stats and nil Extras", r)
+		case !fail && (r.Err != nil || r.Stats.Accesses != uint64(n) || r.Extras != nil):
+			t.Errorf("Direct cell = %+v, want %d accesses and nil Extras", r, n)
+		}
+	}
+}

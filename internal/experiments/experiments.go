@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/spec"
@@ -41,12 +42,6 @@ type Config struct {
 	// threads its telemetry collector through here). Purely
 	// observational; see internal/engine's Collector.
 	Collector engine.Collector
-	// Multisim selects the single-pass size-column fast path for the
-	// sweep figures (DESIGN.md §15): "auto" (default) and "on" run each
-	// (benchmark, policy) size column as one multisim kernel pass,
-	// "off" keeps every cell on the per-cell path. Figure output is
-	// identical either way (golden_small.txt pins it).
-	Multisim string
 	// Ctx, when non-nil, cancels the simulation engine mid-experiment:
 	// workers stop picking up cells and running cells stop at the next
 	// chunk boundary (cmd/dynex-experiments threads its signal context
@@ -62,8 +57,6 @@ func (c Config) refs() int {
 	}
 	return c.Refs
 }
-
-func (c Config) columns() bool { return c.Multisim != "off" }
 
 func (c Config) workers() int {
 	if c.Workers <= 0 {
@@ -274,79 +267,39 @@ func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) 
 	return out
 }
 
-// sweepPolicies is the cell layout of sweepAverages: the three simulated
-// policies of the single-level figures, in column order, built from
-// registry specs. The specs come back alongside the prototype cells so
-// the sweep can ask each one for a multisim column kernel.
-func sweepPolicies(lastLine bool) ([]engine.Cell, []policy.Spec) {
-	specs := []struct {
-		label string
-		spec  policy.Spec
-	}{
-		{"dm", policy.MustParse("dm")},
-		{"de", policy.MustParse("de").WithLastLine(lastLine)},
-		{"opt", policy.MustParse("opt").WithLastLine(lastLine)},
-	}
-	cells := make([]engine.Cell, len(specs))
-	sps := make([]policy.Spec, len(specs))
-	for i, s := range specs {
-		c := s.spec.Cell()
-		c.Label = s.label
-		cells[i] = c
-		sps[i] = s.spec
-	}
-	return cells, sps
-}
-
 // sweepAverages computes suite-average miss-rate curves for the three
 // policies over the given cache sizes at one line size. The paper's
 // Figures 4, 11, 12, 14, and 15 are all instances of this sweep. The
-// whole size × benchmark × policy grid is one engine run, so cells from
-// different sizes execute concurrently; the engine's deterministic result
-// order makes the aggregation independent of scheduling.
+// whole benchmark × size × policy grid is one grid.Plan and one engine
+// run, so cells from different sizes execute concurrently; the engine's
+// deterministic result order makes the aggregation independent of
+// scheduling. The plan's Partition decides which (benchmark, policy)
+// size columns run as one single-pass kernel (dm and de here; opt needs
+// the whole stream per geometry and stays per-cell) — the figure numbers
+// are identical either way.
 func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
 	dm.Name, de.Name, op.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
 	names := w.Names()
-	pols, polSpecs := sweepPolicies(lastLine)
-
-	// Cells laid out size-major, then benchmark, then policy.
-	cells := make([]engine.Cell, 0, len(sizes)*len(names)*len(pols))
-	for _, size := range sizes {
-		geom := cache.DM(size, lineSize)
-		for _, name := range names {
-			name := name
-			stream := func() ([]trace.Ref, error) { return kind(w, name), nil }
-			for _, pol := range pols {
-				c := pol
-				c.Label = fmt.Sprintf("%s/%d/%s", name, size, pol.Label)
-				c.Geometry = geom
-				c.Stream = stream
-				cells = append(cells, c)
-			}
-		}
+	sources := make([]grid.Source, len(names))
+	for i, name := range names {
+		sources[i] = grid.Source{Name: name, Stream: func() ([]trace.Ref, error) { return kind(w, name), nil }}
 	}
-	// Column units (DESIGN.md §15): each (benchmark, policy) pair's size
-	// column runs as one multisim kernel pass when the policy is
-	// eligible (dm and de here; opt needs the whole stream per geometry
-	// and stays per-cell). The figure numbers are identical either way.
-	var groups []engine.Group
-	if w.cfg.columns() && len(sizes) >= 2 {
-		stride := len(names) * len(pols)
-		for p, sp := range polSpecs {
-			newCol, ok := sp.Column(lineSize, sizes)
-			if !ok {
-				continue
-			}
-			for bi := range names {
-				idx := make([]int, len(sizes))
-				for si := range sizes {
-					idx[si] = si*stride + bi*len(pols) + p
-				}
-				groups = append(groups, engine.Group{Indices: idx, NewColumn: newCol})
-			}
-		}
+	pols := []string{
+		"dm",
+		policy.MustParse("de").WithLastLine(lastLine).String(),
+		policy.MustParse("opt").WithLastLine(lastLine).String(),
 	}
-	results, err := engine.RunGrouped(w.cfg.ctx(), cells, groups, engine.Options{
+	// Kind and Refs only feed checkpoint fingerprints and CSV rows,
+	// which a figure never writes.
+	plan, err := grid.Spec{Sources: sources, Sizes: sizes, Lines: []uint64{lineSize}, Policies: pols}.Build()
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	all := make([]int, len(plan.Cells))
+	for i := range all {
+		all[i] = i
+	}
+	results, err := engine.RunGrouped(w.cfg.ctx(), plan.Cells, plan.Partition(all, nil), engine.Options{
 		Workers:   w.cfg.workers(),
 		Collector: w.cfg.Collector,
 	})
@@ -356,11 +309,13 @@ func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, l
 		panic(fmt.Errorf("experiments: %w", err))
 	}
 
+	// Cells are laid out benchmark-major, then size, then policy (the
+	// grid order, with a single line size).
 	n := len(names)
 	for si, size := range sizes {
 		dms, des, ops := make([]float64, n), make([]float64, n), make([]float64, n)
 		for bi := 0; bi < n; bi++ {
-			base := (si*n + bi) * len(pols)
+			base := (bi*len(sizes) + si) * len(pols)
 			for p, rates := range [][]float64{dms, des, ops} {
 				r := results[base+p]
 				if r.Err != nil {

@@ -451,12 +451,15 @@ func TestFaultSuiteTornRecordResume(t *testing.T) {
 
 	// The crashing run journals every cell, then the crash tears the last
 	// record: everything after its midpoint (newline included) is lost.
+	// One worker journals in cell order, so the torn record is the final
+	// cell's.
 	path := t.TempDir() + "/torn.jsonl"
 	j, err := checkpoint.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engine.Run(context.Background(), plan.Cells, engine.Options{
+		Workers: 1,
 		OnResult: func(i int, r engine.Result) {
 			if r.Err != nil {
 				return

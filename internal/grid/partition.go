@@ -9,8 +9,9 @@ import (
 // multisim column units plus a cell-by-cell remainder (DESIGN.md §15).
 // A column is every pending cell sharing one (source, line, policy)
 // triple across the plan's size axis; columns with fewer than two
-// members stay cell-by-cell (a one-cell column has nothing to share),
-// as do cells of column-ineligible policies (policy.Spec.Column decides)
+// members stay cell-by-cell (a one-cell column has nothing to share,
+// and the cell's own batch kernel is faster than a one-member column
+// kernel — DESIGN.md §15 has the numbers), as do cells of column-ineligible policies (policy.Spec.Column decides)
 // and cells the caller's skip function excludes (nil skips nothing —
 // sweep and serve use it to keep fault-injected cells on the per-cell
 // path, where the injection wrapper actually runs).
@@ -22,7 +23,7 @@ import (
 // cell slice. Out-of-range pending entries are left ungrouped rather
 // than rejected. Partitioning changes scheduling only: fingerprints,
 // CSV row order, and per-cell results are the same either way, which
-// the -multisim byte-identity tests pin.
+// dynex-sweep's default-vs--scalar byte-identity tests pin.
 func (p Plan) Partition(pending []int, skip func(planIdx int) bool) []engine.Group {
 	nS, nL, nP := len(p.Spec.Sizes), len(p.Spec.Lines), len(p.Spec.Policies)
 	if nS < 2 || nL == 0 || nP == 0 {

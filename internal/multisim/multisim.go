@@ -30,9 +30,10 @@
 // Kernels implement engine.Column. Batch methods are annotated
 // //dynexcheck:hot — all state is preallocated at construction, and the
 // hotpath-alloc analyzer (DESIGN.md §14) pins them allocation-free.
-// Correctness against the per-cell path is pinned three ways: the
-// conformance column battery (internal/conformance), the sweep-level
-// -multisim byte-identity tests, and the CI byte-identity job.
+// Correctness against the per-cell path is pinned four ways: the
+// conformance column battery and FuzzColumnVsScalar
+// (internal/conformance), the sweep-level default-vs--scalar
+// byte-identity tests, and the CI byte-identity job.
 package multisim
 
 import (

@@ -164,18 +164,14 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 		}
 	}()
 	// Column units (DESIGN.md §15): pending cells partition into
-	// single-pass size columns unless the server is configured off.
-	// Panic-injected cells stay per-cell — the injection wraps the
-	// cell's own simulator, which a column kernel never constructs.
-	var groups []engine.Group
-	if s.cfg.Multisim != "off" {
-		var skip func(int) bool
-		if _, panicSubstr, err := parseInject(m.Spec.Inject); err == nil && panicSubstr != "" {
-			skip = func(pi int) bool { return strings.Contains(plan.Cells[pi].Label, panicSubstr) }
-		}
-		groups = plan.Partition(pendIdx, skip)
+	// single-pass size columns. Panic-injected cells stay per-cell — the
+	// injection wraps the cell's own simulator, which a column kernel
+	// never constructs.
+	var skip func(int) bool
+	if _, panicSubstr, err := parseInject(m.Spec.Inject); err == nil && panicSubstr != "" {
+		skip = func(pi int) bool { return strings.Contains(plan.Cells[pi].Label, panicSubstr) }
 	}
-	_, runErr := engine.RunGrouped(ctx, pendCells, groups, engine.Options{
+	_, runErr := engine.RunGrouped(ctx, pendCells, plan.Partition(pendIdx, skip), engine.Options{
 		Workers:     s.cfg.Workers,
 		Retry:       s.cfg.Retry,
 		CellTimeout: s.cfg.CellTimeout,

@@ -68,12 +68,6 @@ type Config struct {
 	// ReportInterval is how often a running job's stream gets a
 	// report-delta frame (a point-in-time RunReport snapshot). Default 2s.
 	ReportInterval time.Duration
-	// Multisim selects the single-pass size-column fast path for job
-	// grids (DESIGN.md §15): "auto" (default) and "on" partition each
-	// job's pending cells into column units, "off" keeps every cell on
-	// the per-cell path. Results, journals, and CSVs are byte-identical
-	// either way; the flag exists for differential driving.
-	Multisim string
 	// EnableFaults allows the job spec's "inject" directive — the load
 	// suite's deterministic fault injection. Off for real servers.
 	EnableFaults bool
@@ -103,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReportInterval <= 0 {
 		c.ReportInterval = 2 * time.Second
-	}
-	if c.Multisim == "" {
-		c.Multisim = "auto"
 	}
 	return c
 }

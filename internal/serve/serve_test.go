@@ -11,12 +11,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +140,24 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// midJournal reports whether some running job has journaled part, but
+// not all, of its grid.
+func midJournal(s *Server, ids []string) bool {
+	for _, id := range ids {
+		j := s.getJob(id)
+		if j == nil || j.state() != StateRunning {
+			continue
+		}
+		if done, total := j.progress(); done == 0 || done == total {
+			continue
+		}
+		if fi, err := os.Stat(s.st.journalPath(id)); err == nil && fi.Size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestServeLoadKillRestart is the headline robustness test: ≥200
 // concurrent jobs from 3 tenants with injected faults, a hard kill
 // mid-load plus one manually torn journal tail, a restart that resumes
@@ -180,10 +201,12 @@ func TestServeLoadKillRestart(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Let part of the load complete, then kill the server cold.
+	// Let part of the load complete, then kill the server cold at a
+	// moment some running job has journaled part of its grid, so the
+	// kill interrupts progress the restart must resume.
 	deadline := time.Now().Add(60 * time.Second)
-	for s1.metrics.JobsDone.Load() < 40 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	for (s1.metrics.JobsDone.Load() < 40 || !midJournal(s1, ids)) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if got := s1.metrics.JobsDone.Load(); got < 40 {
 		t.Fatalf("only %d jobs done before kill deadline", got)
@@ -683,6 +706,87 @@ func TestServeTraceUploadJob(t *testing.T) {
 	}
 }
 
+// TestServeTornTraceReupload pins the trace store's durability: a torn
+// traces/<digest>.trace left behind by a crash is not accepted as the
+// upload of the same digest. Re-uploading the full bytes repairs the
+// file, and a job over the trace completes with the ground-truth CSV.
+func TestServeTornTraceReupload(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4096; i++ {
+		if err := w.Write(trace.Ref{Addr: uint64(i%97) * 40961, Kind: trace.Instr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	sum := sha256.Sum256(full)
+	digest := hex.EncodeToString(sum[:])[:16]
+
+	cfg := testConfig(t.TempDir())
+	path := filepath.Join(cfg.DataDir, "traces", digest+".trace")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, full[:len(full)/2+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); cancel(); <-done }()
+
+	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up struct {
+		Trace string `json:"trace"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if up.Trace != "trace:"+digest {
+		t.Fatalf("upload handle %q, want trace:%s", up.Trace, digest)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, full) {
+		t.Fatalf("stored trace: %d bytes (err %v), want the %d uploaded bytes", len(onDisk), err, len(full))
+	}
+
+	js := JobSpec{Trace: up.Trace, Refs: 4096,
+		Sizes: []uint64{1024, 2048}, Lines: []uint64{4}, Policies: []string{"dm", "de"}}
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("trace job: %d", code)
+	}
+	waitAllTerminal(t, ts.URL, 30*time.Second)
+	var stt Status
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+	if stt.State != StateDone {
+		t.Fatalf("job state %s, err %q", stt.State, stt.Error)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := directCSV(t, cfg, s.st, js); !bytes.Equal(got, want) {
+		t.Errorf("trace job CSV differs:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
 // TestServeValidation pins the graceful-degradation refusals.
 func TestServeValidation(t *testing.T) {
 	cfg := testConfig(t.TempDir())
@@ -796,10 +900,10 @@ func waitAllTerminal(t *testing.T, url string, timeout time.Duration) {
 	t.Fatal("jobs did not reach terminal states in time")
 }
 
-// TestServeMultisimModes pins the job runner's column partitioning: the
-// same power-of-two sweep job produces byte-identical CSV whether the
-// server runs column kernels (the default) or is forced per-cell with
-// Multisim "off", and both match the direct engine ground truth.
+// TestServeMultisimModes pins the job runner's column partitioning: a
+// power-of-two sweep job, whose size columns the runner retires on
+// single-pass kernels, produces CSV byte-identical to the direct engine
+// ground truth (engine.Run with no groups, so every cell runs alone).
 func TestServeMultisimModes(t *testing.T) {
 	js := JobSpec{
 		Benches:  []string{"gcc"},
@@ -809,54 +913,44 @@ func TestServeMultisimModes(t *testing.T) {
 		Lines:    []uint64{4, 16},
 		Policies: []string{"dm", "de", "lru", "fifo", "de:store=hashed*4"},
 	}
-	csvs := map[string][]byte{}
-	var want []byte
-	for _, mode := range []string{"auto", "off"} {
-		cfg := testConfig(t.TempDir())
-		cfg.Multisim = mode
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() { defer close(done); _ = s.Run(ctx) }()
-		ts := httptest.NewServer(s.Handler())
-
-		id, code := postJob(t, ts.URL, "alice", js)
-		if code != http.StatusAccepted {
-			t.Fatalf("mode %s: status %d", mode, code)
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		var stt Status
-		for time.Now().Before(deadline) {
-			getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
-			if terminal(stt.State) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if stt.State != StateDone {
-			t.Fatalf("mode %s: job state %s, err %q", mode, stt.State, stt.Error)
-		}
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		csvs[mode] = body
-		if want == nil {
-			want = directCSV(t, cfg, s.st, js)
-		}
+	cfg := testConfig(t.TempDir())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
 		ts.Close()
 		cancel()
 		<-done
+	}()
+
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d", code)
 	}
-	if !bytes.Equal(csvs["auto"], csvs["off"]) {
-		t.Errorf("column-mode CSV differs from per-cell CSV:\n--- auto\n%s--- off\n%s", csvs["auto"], csvs["off"])
+	deadline := time.Now().Add(60 * time.Second)
+	var stt Status
+	for time.Now().Before(deadline) {
+		getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+		if terminal(stt.State) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if !bytes.Equal(csvs["auto"], want) {
-		t.Errorf("served CSV differs from direct engine run:\n--- got\n%s--- want\n%s", csvs["auto"], want)
+	if stt.State != StateDone {
+		t.Fatalf("job state %s, err %q", stt.State, stt.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := directCSV(t, cfg, s.st, js); !bytes.Equal(got, want) {
+		t.Errorf("served CSV differs from direct engine run:\n--- got\n%s--- want\n%s", got, want)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,9 +19,10 @@ import (
 //	jobs/<id>/cells.jsonl     per-cell checkpoint journal (internal/checkpoint)
 //	traces/<digest>.trace     uploaded trace files, content-addressed
 //
-// Every write is either atomic (manifests: write tmp, fsync, rename) or
-// append-only with torn-tail recovery (journals), so a crash at any
-// instant leaves a directory the next server start can load.
+// Every write is either atomic and durable (manifests and traces: write
+// tmp, fsync, rename, fsync the directory) or append-only with torn-tail
+// recovery (journals), so a crash at any instant — power loss included —
+// leaves a directory the next server start can load.
 type store struct {
 	dir string
 }
@@ -36,34 +39,74 @@ func newStore(dir string) (*store, error) {
 func (st *store) jobDir(id string) string      { return filepath.Join(st.dir, "jobs", id) }
 func (st *store) journalPath(id string) string { return filepath.Join(st.jobDir(id), "cells.jsonl") }
 
-// writeManifest persists m atomically: a torn write can only ever lose
-// the update, never corrupt the previous manifest.
+// writeManifest persists m atomically and durably: a torn write can only
+// ever lose the update, never corrupt the previous manifest, and once it
+// returns the manifest — an acknowledged admission included — survives
+// power loss.
 func (st *store) writeManifest(m Manifest) error {
 	dir := st.jobDir(m.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	created := true
+	if err := os.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
+		created = false
+	} else if err != nil {
 		return err
 	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, "manifest.json.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err := writeDurable(filepath.Join(dir, "manifest.json"), append(data, '\n')); err != nil {
+		return err
+	}
+	if created {
+		return syncDir(filepath.Dir(dir)) // the job directory's own entry
+	}
+	return nil
+}
+
+// writeDurable replaces path with data atomically and durably: the bytes
+// go to a temp file in the same directory, fsynced before the rename,
+// and the directory is fsynced after it, so after a crash path holds
+// either its previous contents or all of data.
+func writeDurable(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
+	tmp := f.Name()
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making its entries' creations and renames
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, filepath.Join(dir, "manifest.json"))
+	return err
 }
 
 // loadManifests scans jobs/ and returns every readable manifest in
@@ -95,19 +138,18 @@ func (st *store) loadManifests() ([]Manifest, error) {
 }
 
 // putTrace stores an uploaded trace content-addressed and returns its
-// handle. Uploading the same bytes twice is idempotent.
+// handle. Uploading the same bytes twice is idempotent. An existing file
+// is trusted only if its bytes still hash to the digest: a crash can
+// leave a torn trace behind, and the next upload of the same bytes
+// replaces it.
 func (st *store) putTrace(data []byte) (string, error) {
 	sum := sha256.Sum256(data)
 	digest := hex.EncodeToString(sum[:])[:16]
 	path := filepath.Join(st.dir, "traces", digest+".trace")
-	if _, err := os.Stat(path); err == nil {
+	if have, err := os.ReadFile(path); err == nil && sha256.Sum256(have) == sum {
 		return "trace:" + digest, nil
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeDurable(path, data); err != nil {
 		return "", err
 	}
 	return "trace:" + digest, nil
