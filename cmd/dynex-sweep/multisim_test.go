@@ -91,7 +91,7 @@ func TestSweepMultisimFlag(t *testing.T) {
 // CSV byte-identical to an uninterrupted run.
 func TestSweepMultisimResumeAcrossModes(t *testing.T) {
 	base := []string{"-bench", "gcc", "-refs", "20000", "-lines", "4",
-		"-policies", "dm,de,lru,fifo"}
+		"-policies", "dm,de,lru,fifo,opt"}
 	full := append([]string{"-sizes", "4096,8192,16384"}, base...)
 
 	want, _, err := runSweep(t, full...)
@@ -118,8 +118,8 @@ func TestSweepMultisimResumeAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume: %v\nstderr: %s", swtch.name, err, stderr)
 		}
-		if !strings.Contains(stderr, "resuming: 4 of 12 cells journaled") {
-			t.Errorf("%s: stderr = %q, want a 4-of-12 resume banner", swtch.name, stderr)
+		if !strings.Contains(stderr, "resuming: 5 of 15 cells journaled") {
+			t.Errorf("%s: stderr = %q, want a 5-of-15 resume banner", swtch.name, stderr)
 		}
 		if got != want {
 			t.Errorf("%s: resumed CSV differs from uninterrupted run", swtch.name)

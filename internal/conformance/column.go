@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // columnVariants lists, per column-eligible family, the option
@@ -18,18 +19,22 @@ var columnVariants = map[string][]string{
 	"de":   {"de:sticky=3", "de:store=hashed*4", "de:cold=miss,lastline", "de:nolastline"},
 	"lru":  {"lru:ways=4", "lru:ways=1"},
 	"fifo": {"fifo:ways=4"},
+	"opt":  {"opt:lastline", "opt:nolastline"},
 }
 
 // CheckColumnRegistry is the column-kernel differential battery: for
 // every registered policy family it asks policy.Spec.Column for a
 // column kernel over the size column and either (a) drives the kernel
-// through ragged chunk sizes and asserts each member's Stats and
-// Extras are bit-identical to simulating that (size, line, policy)
-// cell on its own, or (b) — for families with no kernel — asserts the
-// spec reports itself column-ineligible, so it falls back to the
-// per-cell path rather than silently computing something else. A
-// family added to internal/policy is therefore either column-verified
-// or fallback-verified with no test changes.
+// — through ragged chunk sizes, or for an engine.WholeStreamColumn in
+// the one whole-stream call the engine makes — and asserts each
+// member's Stats and Extras are bit-identical to simulating that
+// (size, line, policy) cell on its own, or (b) — for families with no
+// kernel — asserts the spec reports itself column-ineligible, so it
+// falls back to the per-cell path rather than silently computing
+// something else. A whole-stream column driven in ragged chunks must
+// fail (Err, or too few Outcomes) rather than report stats. A family
+// added to internal/policy is therefore either column-verified or
+// fallback-verified with no test changes.
 func CheckColumnRegistry(t *testing.T, line uint64, sizes []uint64, opts Options) {
 	t.Helper()
 	if opts.Streams == 0 {
@@ -48,7 +53,7 @@ func CheckColumnRegistry(t *testing.T, line uint64, sizes []uint64, opts Options
 			newCol, ok := sp.Column(line, sizes)
 			if !ok {
 				switch f.Name {
-				case "dm", "de", "lru", "fifo":
+				case "dm", "de", "lru", "fifo", "opt":
 					t.Errorf("spec %q should be column-eligible at line %d sizes %v", specStr, line, sizes)
 				}
 				continue
@@ -58,9 +63,9 @@ func CheckColumnRegistry(t *testing.T, line uint64, sizes []uint64, opts Options
 	}
 	// Ineligible geometry: a non-power-of-two set count must refuse the
 	// column (the per-cell path owns the error reporting).
-	if sp, err := policy.Parse("lru:ways=4"); err == nil {
-		if _, ok := sp.Column(line, []uint64{sizes[0], sizes[0] * 3}); ok {
-			t.Error("lru column accepted a non-power-of-two member size")
+	for _, specStr := range []string{"lru:ways=4", "opt"} {
+		if _, ok := policy.MustParse(specStr).Column(line, []uint64{sizes[0], sizes[0] * 3}); ok {
+			t.Errorf("%s column accepted a non-power-of-two member size", specStr)
 		}
 	}
 }
@@ -72,40 +77,82 @@ func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column,
 	chunks := []int{1, 7, 501, 4096}
 	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
 		refs := refStream(seed, opts.Refs)
-
-		col, err := newCol()
+		outs, err := runColumn(newCol, refs, chunks)
 		if err != nil {
-			t.Fatalf("column constructor: %v", err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		rest := refs
-		for ci := 0; len(rest) > 0; ci++ {
-			n := chunks[ci%len(chunks)]
-			if n > len(rest) {
-				n = len(rest)
-			}
-			col.Batch(rest[:n])
-			rest = rest[n:]
-		}
-		outs := col.Outcomes()
 		if len(outs) != len(sizes) {
 			t.Fatalf("seed %d: %d outcomes for %d sizes", seed, len(outs), len(sizes))
 		}
-
 		for k, size := range sizes {
-			geom := cache.DM(size, line)
-			sim, err := sp.Build(geom)
+			stats, extras, err := cellReference(sp, cache.DM(size, line), refs)
 			if err != nil {
-				t.Fatalf("seed %d size %d: per-cell build: %v", seed, size, err)
+				t.Fatalf("seed %d size %d: per-cell reference: %v", seed, size, err)
 			}
-			for i := range refs {
-				sim.Access(refs[i].Addr)
+			if got := outs[k].Stats; got != stats {
+				t.Errorf("seed %d size %d: column %+v != per-cell %+v", seed, size, got, stats)
 			}
-			if got, want := outs[k].Stats, sim.Stats(); got != want {
-				t.Errorf("seed %d size %d: column %+v != per-cell %+v", seed, size, got, want)
+			diffExtras(t, seed, extras, outs[k].Extras)
+		}
+		// Fed in ragged chunks, a whole-stream column must fail loudly.
+		if col, err := newCol(); err == nil {
+			if whole, ok := col.(engine.WholeStreamColumn); ok {
+				driveChunks(col, refs, chunks)
+				if whole.Err() == nil && len(col.Outcomes()) == len(sizes) {
+					t.Errorf("seed %d: whole-stream column reported outcomes after ragged chunks", seed)
+				}
 			}
-			diffExtras(t, seed, cache.SnapshotExtras(sim), outs[k].Extras)
 		}
 	}
+}
+
+// runColumn builds a column and drives it the way the engine does: an
+// engine.WholeStreamColumn in one Batch call, any other column through
+// the given chunk sizes in turn. It returns the Outcomes, or the
+// constructor's or the whole-stream pass's error.
+func runColumn(newCol func() (engine.Column, error), refs []trace.Ref, chunks []int) ([]engine.ColumnOutcome, error) {
+	col, err := newCol()
+	if err != nil {
+		return nil, err
+	}
+	if whole, ok := col.(engine.WholeStreamColumn); ok {
+		whole.Batch(refs)
+		if err := whole.Err(); err != nil {
+			return nil, err
+		}
+	} else {
+		driveChunks(col, refs, chunks)
+	}
+	return col.Outcomes(), nil
+}
+
+// driveChunks feeds refs to col through the chunk sizes in turn.
+func driveChunks(col engine.Column, refs []trace.Ref, chunks []int) {
+	for ci := 0; len(refs) > 0; ci++ {
+		n := min(chunks[ci%len(chunks)], len(refs))
+		col.Batch(refs[:n])
+		refs = refs[n:]
+	}
+}
+
+// cellReference simulates one (spec, geometry) cell on its own, one
+// scalar Access per reference (cache.ScalarOnly), or through the
+// per-cell Direct path for whole-stream families, whose simulators
+// cannot be driven by Access.
+func cellReference(sp policy.Spec, geom cache.Geometry, refs []trace.Ref) (cache.Stats, []cache.Counter, error) {
+	if direct := sp.Cell().Direct; direct != nil {
+		stats, err := direct(refs, geom)
+		return stats, nil, err
+	}
+	sim, err := sp.Build(geom)
+	if err != nil {
+		return cache.Stats{}, nil, err
+	}
+	ref := cache.ScalarOnly(sim)
+	for i := range refs {
+		ref.Access(refs[i].Addr)
+	}
+	return ref.Stats(), cache.SnapshotExtras(ref), nil
 }
 
 // CheckStackProperty asserts LRU inclusion across power-of-two sizes on

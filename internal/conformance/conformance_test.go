@@ -75,7 +75,9 @@ func TestMultisimDifferential(t *testing.T) {
 		sizes []uint64
 	}{
 		{4, []uint64{1 << 11, 1 << 12, 1 << 13, 1 << 14}},
+		{8, []uint64{1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14}},
 		{16, []uint64{1 << 12, 1 << 13, 1 << 15}},
+		{64, []uint64{1 << 12}},
 	}
 	for _, c := range cases {
 		c := c

@@ -14,20 +14,23 @@ import (
 // every eligible size column on a single-pass kernel with no off
 // switch: for a fuzzed column-eligible registry spec, a power-of-two
 // column of 1–6 members at a fuzzed line size, and a seeded reference
-// stream driven through fuzzed ragged chunks, every member's Stats and
-// Extras must equal a per-cell simulator stripped to one scalar Access
-// per reference (cache.ScalarOnly).
+// stream driven through fuzzed ragged chunks (or, for opt's
+// whole-stream column, in one call), every member's Stats and Extras
+// must equal a per-cell simulator stripped to one scalar Access per
+// reference (cache.ScalarOnly) — for opt, the per-cell Direct path.
 //
-// Inputs: family picks dm/de/lru/fifo; opts packs the family's options
-// (de: sticky depth, hashed store bits, cold start, last-line register;
-// lru/fifo: ways); lineExp picks a 4–64B line; baseExp the smallest
-// member's size over the minimum; members is a bitmask over eight
-// successive doublings of it (the lowest six set bits are the column);
-// seed, n, and chunk shape the stream and its batching.
+// Inputs: family picks dm/de/lru/fifo/opt; opts packs the family's
+// options (de: sticky depth, hashed store bits, cold start, last-line
+// register; lru/fifo: ways; opt: last-line buffer auto, on or off);
+// lineExp picks a 4–64B line; baseExp the smallest member's size over
+// the minimum; members is a bitmask over eight successive doublings of
+// it (the lowest six set bits are the column); seed, n, and chunk shape
+// the stream and its batching.
 func FuzzColumnVsScalar(f *testing.F) {
 	// One seed per family, plus the option axes the column kernels
 	// reimplement (stores, sticky depth, cold start, the §6 register,
-	// associativity) and a one-member column.
+	// associativity, opt's last-line buffer on and off) and a one-member
+	// column.
 	f.Add(uint8(0), uint16(0), uint8(0), uint8(2), uint8(0x0f), int64(1), uint16(3000), uint16(4096))
 	f.Add(uint8(1), uint16(0), uint8(0), uint8(2), uint8(0x0f), int64(2), uint16(3000), uint16(501))
 	f.Add(uint8(1), uint16(0x2a5), uint8(2), uint8(1), uint8(0x35), int64(3), uint16(2500), uint16(7))
@@ -36,6 +39,8 @@ func FuzzColumnVsScalar(f *testing.F) {
 	f.Add(uint8(2), uint16(0), uint8(2), uint8(0), uint8(0x07), int64(6), uint16(2500), uint16(33))
 	f.Add(uint8(3), uint16(1), uint8(0), uint8(1), uint8(0x0f), int64(7), uint16(3000), uint16(4096))
 	f.Add(uint8(3), uint16(3), uint8(1), uint8(2), uint8(0x3f), int64(8), uint16(2500), uint16(100))
+	f.Add(uint8(4), uint16(1), uint8(2), uint8(1), uint8(0x3f), int64(9), uint16(3000), uint16(4096))
+	f.Add(uint8(4), uint16(2), uint8(0), uint8(0), uint8(0x01), int64(10), uint16(2500), uint16(7))
 	f.Fuzz(func(t *testing.T, family uint8, opts uint16, lineExp, baseExp, members uint8, seed int64, n, chunk uint16) {
 		specStr := fuzzSpec(family, opts)
 		sp, err := policy.Parse(specStr)
@@ -43,7 +48,7 @@ func FuzzColumnVsScalar(f *testing.F) {
 			t.Fatalf("generated spec %q does not parse: %v", specStr, err)
 		}
 		ways := 1
-		if family%4 >= 2 {
+		if fam := family % 5; fam == 2 || fam == 3 {
 			ways = 1 << (opts % 4)
 		}
 		line := uint64(4) << (lineExp % 5)
@@ -61,34 +66,23 @@ func FuzzColumnVsScalar(f *testing.F) {
 		if !ok {
 			t.Fatalf("spec %q at line %d sizes %v is not column-eligible", specStr, line, sizes)
 		}
-		col, err := newCol()
-		if err != nil {
-			t.Fatalf("column constructor: %v", err)
-		}
 		refs := fuzzRefs(seed, int(n%6000), 2*sizes[len(sizes)-1])
-		step := int(chunk%4096) + 1
-		for rest := refs; len(rest) > 0; {
-			k := min(step, len(rest))
-			col.Batch(rest[:k])
-			rest = rest[k:]
+		outs, err := runColumn(newCol, refs, []int{int(chunk%4096) + 1})
+		if err != nil {
+			t.Fatalf("%s: %v", specStr, err)
 		}
-		outs := col.Outcomes()
 		if len(outs) != len(sizes) {
 			t.Fatalf("%d outcomes for %d sizes", len(outs), len(sizes))
 		}
 		for k, size := range sizes {
-			sim, err := sp.Build(cache.DM(size, line))
+			stats, extras, err := cellReference(sp, cache.DM(size, line), refs)
 			if err != nil {
-				t.Fatalf("%s size %d: per-cell build: %v", specStr, size, err)
+				t.Fatalf("%s size %d: per-cell reference: %v", specStr, size, err)
 			}
-			ref := cache.ScalarOnly(sim)
-			for i := range refs {
-				ref.Access(refs[i].Addr)
+			if got := outs[k].Stats; got != stats {
+				t.Errorf("%s line %d size %d: column %+v != scalar %+v", specStr, line, size, got, stats)
 			}
-			if got, want := outs[k].Stats, ref.Stats(); got != want {
-				t.Errorf("%s line %d size %d: column %+v != scalar %+v", specStr, line, size, got, want)
-			}
-			diffExtras(t, int64(size), cache.SnapshotExtras(ref), outs[k].Extras)
+			diffExtras(t, int64(size), extras, outs[k].Extras)
 		}
 	})
 }
@@ -96,7 +90,7 @@ func FuzzColumnVsScalar(f *testing.F) {
 // fuzzSpec renders a column-eligible registry spec from the fuzzer's
 // family selector and option bits.
 func fuzzSpec(family uint8, opts uint16) string {
-	switch family % 4 {
+	switch family % 5 {
 	case 0:
 		return "dm"
 	case 1:
@@ -116,8 +110,10 @@ func fuzzSpec(family uint8, opts uint16) string {
 		return s
 	case 2:
 		return fmt.Sprintf("lru:ways=%d", 1<<(opts%4))
-	default:
+	case 3:
 		return fmt.Sprintf("fifo:ways=%d", 1<<(opts%4))
+	default:
+		return [...]string{"opt", "opt:lastline", "opt:nolastline"}[opts%3]
 	}
 }
 

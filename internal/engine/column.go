@@ -34,12 +34,28 @@ type ColumnOutcome struct {
 // Column is the engine-schedulable contract of a single-pass multi-cell
 // kernel (internal/multisim implements it). Batch advances every member
 // cell over the next chunk of the shared stream; the engine calls it in
-// driveChunk batches with cooperative cancellation checks in between.
+// driveChunk batches with cooperative cancellation checks in between
+// (a WholeStreamColumn gets the whole stream in one call).
 // Outcomes returns the cumulative per-member results, parallel to the
 // owning Group's Indices.
 type Column interface {
 	Batch(refs []trace.Ref)
 	Outcomes() []ColumnOutcome
+}
+
+// WholeStreamColumn is a Column that needs the entire stream in one
+// Batch call: a kernel with future knowledge (opt's size column) or a
+// Direct cell. attemptUnit makes exactly that one call, even over an
+// empty stream, and then consults Err; such a unit is therefore not
+// interruptible mid-pass. A wrapper that embeds only Column hides Err,
+// and the engine then drives the column in chunks like any other, so a
+// whole-stream kernel must fail on a second Batch call (Err, or too few
+// Outcomes) rather than report stats from part of the stream.
+type WholeStreamColumn interface {
+	Column
+	// Err reports the failure of the one pass; Outcomes is not
+	// consulted when it is non-nil.
+	Err() error
 }
 
 // Group schedules one column unit over member cells of a RunGrouped
@@ -190,9 +206,9 @@ func (c policyColumn) Outcomes() []ColumnOutcome {
 	return []ColumnOutcome{{Stats: c.sim.Stats(), Extras: cache.SnapshotExtras(c.sim)}}
 }
 
-// directColumn adapts a Direct cell: attemptUnit hands it the whole
-// stream in one Batch call, which is the whole simulation, and a
-// failure surfaces through err.
+// directColumn adapts a Direct cell as a WholeStreamColumn: its one
+// Batch call is the whole simulation, and a failure surfaces through
+// Err.
 type directColumn struct {
 	run   DirectFunc
 	geom  cache.Geometry
@@ -201,6 +217,8 @@ type directColumn struct {
 }
 
 func (c *directColumn) Batch(refs []trace.Ref) { c.stats, c.err = c.run(refs, c.geom) }
+
+func (c *directColumn) Err() error { return c.err }
 
 func (c *directColumn) Outcomes() []ColumnOutcome { return []ColumnOutcome{{Stats: c.stats}} }
 
@@ -299,23 +317,22 @@ func attemptUnit(ctx context.Context, u unit, cells []Cell, timeout time.Duratio
 	if err != nil {
 		return nil, err
 	}
-	direct, whole := col.(*directColumn)
-	if whole {
-		col.Batch(refs) // one call, even over an empty stream
-		refs = nil
-	}
-	for len(refs) > 0 {
-		n := min(driveChunk, len(refs))
-		col.Batch(refs[:n])
-		refs = refs[n:]
-		if len(refs) > 0 {
-			if err := stepErr(ctx, deadline); err != nil {
-				return nil, err
+	if whole, ok := col.(WholeStreamColumn); ok {
+		whole.Batch(refs) // one call, even over an empty stream
+		if err := whole.Err(); err != nil {
+			return nil, err
+		}
+	} else {
+		for len(refs) > 0 {
+			n := min(driveChunk, len(refs))
+			col.Batch(refs[:n])
+			refs = refs[n:]
+			if len(refs) > 0 {
+				if err := stepErr(ctx, deadline); err != nil {
+					return nil, err
+				}
 			}
 		}
-	}
-	if whole && direct.err != nil {
-		return nil, direct.err
 	}
 	outs = col.Outcomes()
 	if len(outs) != len(u.indices) {

@@ -328,3 +328,115 @@ func (c *recordingCollector) CellFinished(e CellFinish) {
 	c.finishes = append(c.finishes, e)
 	c.mu.Unlock()
 }
+
+// wholeColumn is a whole-stream test kernel: it records the length of
+// each Batch call, reports the stream length as every member's
+// Accesses, and — like a future-knowledge kernel — fails on a second
+// call, when it has seen only part of the stream.
+type wholeColumn struct {
+	members int
+	calls   []int
+	panics  bool
+	err     error
+}
+
+func (c *wholeColumn) Batch(refs []trace.Ref) {
+	if c.panics {
+		panic("whole-stream kernel bug")
+	}
+	c.calls = append(c.calls, len(refs))
+	if len(c.calls) > 1 {
+		c.err = errors.New("fed in pieces")
+	}
+}
+
+func (c *wholeColumn) Err() error { return c.err }
+
+func (c *wholeColumn) Outcomes() []ColumnOutcome {
+	if c.err != nil {
+		return nil
+	}
+	outs := make([]ColumnOutcome, c.members)
+	for k := range outs {
+		outs[k].Stats.Accesses = uint64(c.calls[0])
+	}
+	return outs
+}
+
+// wholeGrid is columnGrid's three-member column over an n-reference
+// stream, its kernel built by newCol.
+func wholeGrid(n int, newCol func() (Column, error)) ([]Cell, []Group) {
+	cells, groups := columnGrid(3, 1)
+	refs := seqRefs(0, n)
+	cells[groups[0].Indices[0]].Stream = func() ([]trace.Ref, error) { return refs, nil }
+	groups[0].NewColumn = newCol
+	return cells, groups
+}
+
+// TestWholeStreamColumnOneBatch pins the whole-stream rule for group
+// columns: exactly one Batch call with the entire stream, also when the
+// stream is empty, and every member gets the kernel's outcome.
+func TestWholeStreamColumnOneBatch(t *testing.T) {
+	for _, n := range []int{3*driveChunk + 5, 0} {
+		var col *wholeColumn
+		cells, groups := wholeGrid(n, func() (Column, error) {
+			col = &wholeColumn{members: 3}
+			return col, nil
+		})
+		results, err := RunGrouped(context.Background(), cells, groups, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(col.calls) != 1 || col.calls[0] != n {
+			t.Errorf("n=%d: Batch calls %v, want one with the whole stream", n, col.calls)
+		}
+		for _, i := range groups[0].Indices {
+			if r := results[i]; r.Err != nil || r.Stats.Accesses != uint64(n) {
+				t.Errorf("n=%d: cell %d = %+v, want %d accesses", n, i, r, n)
+			}
+		}
+	}
+}
+
+// TestWholeStreamColumnFailsLoudly: a whole-stream column whose Err is
+// set fails every member with that error, and one hidden behind a
+// wrapper that embeds only Column — so the engine drives it in chunks —
+// fails every member on the second chunk. Neither yields stats.
+func TestWholeStreamColumnFailsLoudly(t *testing.T) {
+	boom := errors.New("boom")
+	for name, newCol := range map[string]func() (Column, error){
+		"err":     func() (Column, error) { return &wholeColumn{members: 3, err: boom}, nil },
+		"wrapped": func() (Column, error) { return struct{ Column }{&wholeColumn{members: 3}}, nil },
+	} {
+		cells, groups := wholeGrid(3*driveChunk+5, newCol)
+		results, err := RunGrouped(context.Background(), cells, groups, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range groups[0].Indices {
+			r := results[i]
+			if r.Err == nil || r.Stats != (cache.Stats{}) {
+				t.Errorf("%s: cell %d = %+v, want an error and zero Stats", name, i, r)
+			}
+			if name == "err" && !errors.Is(r.Err, boom) {
+				t.Errorf("%s: cell %d err %v, want boom", name, i, r.Err)
+			}
+		}
+	}
+}
+
+// TestWholeStreamColumnPanicAttribution re-homes a whole-stream
+// kernel's panic onto every member as its own CellPanicError.
+func TestWholeStreamColumnPanicAttribution(t *testing.T) {
+	cells, groups := wholeGrid(100, func() (Column, error) { return &wholeColumn{members: 3, panics: true}, nil })
+	results, err := RunGrouped(context.Background(), cells, groups, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range groups[0].Indices {
+		var pe *CellPanicError
+		if !errors.As(results[i].Err, &pe) || pe.Label != cells[i].Label {
+			t.Errorf("cell %d: err %v, want a CellPanicError labeled %q", i, results[i].Err, cells[i].Label)
+		}
+	}
+}

@@ -274,9 +274,10 @@ func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) 
 // run, so cells from different sizes execute concurrently; the engine's
 // deterministic result order makes the aggregation independent of
 // scheduling. The plan's Partition decides which (benchmark, policy)
-// size columns run as one single-pass kernel (dm and de here; opt needs
-// the whole stream per geometry and stays per-cell) — the figure numbers
-// are identical either way.
+// size columns run as one column unit — all three here: dm and de on
+// single-pass multisim kernels, opt on a whole-stream column that
+// computes the benchmark's next uses once for every size — and the
+// figure numbers are identical either way.
 func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
 	dm.Name, de.Name, op.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
 	names := w.Names()

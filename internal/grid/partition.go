@@ -5,16 +5,19 @@ import (
 	"repro/internal/policy"
 )
 
-// Partition decomposes a set of pending plan cells into maximal
-// multisim column units plus a cell-by-cell remainder (DESIGN.md §15).
-// A column is every pending cell sharing one (source, line, policy)
-// triple across the plan's size axis; columns with fewer than two
-// members stay cell-by-cell (a one-cell column has nothing to share,
-// and the cell's own batch kernel is faster than a one-member column
-// kernel — DESIGN.md §15 has the numbers), as do cells of column-ineligible policies (policy.Spec.Column decides)
-// and cells the caller's skip function excludes (nil skips nothing —
-// sweep and serve use it to keep fault-injected cells on the per-cell
-// path, where the injection wrapper actually runs).
+// Partition decomposes a set of pending plan cells into maximal column
+// units plus a cell-by-cell remainder (DESIGN.md §15). A column is
+// every pending cell sharing one (source, line, policy) triple across
+// the plan's size axis: a multisim kernel for dm, de, lru and fifo, and
+// opt's whole-stream column, which shares one next-use pass across its
+// sizes. Columns with fewer than two members stay cell-by-cell (a
+// one-cell column has nothing to share, and the cell's own batch
+// kernel is faster than a one-member column kernel — DESIGN.md §15 has
+// the numbers), as do cells of column-ineligible policies or
+// geometries (policy.Spec.Column decides) and cells the caller's skip
+// function excludes (nil skips nothing — sweep and serve use it to
+// keep fault-injected cells on the per-cell path, where the injection
+// wrapper actually runs).
 //
 // pending holds plan indices (positions into p.Cells), in the order the
 // caller will hand the corresponding cells to engine.RunGrouped; the

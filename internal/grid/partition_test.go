@@ -44,20 +44,23 @@ func allPending(n int) []int {
 
 // TestPartitionColumns checks the shape of a full partition: one group
 // per (source, line, eligible policy) triple spanning the whole size
-// axis, with ineligible policies left to the per-cell remainder.
+// axis — opt's whole-stream column included — with ineligible policies
+// (victim) left to the per-cell remainder.
 func TestPartitionColumns(t *testing.T) {
 	plan := partitionPlan(t,
 		[]uint64{4096, 8192, 16384},
 		[]uint64{4, 16},
-		[]string{"dm", "opt", "lru:ways=4"})
+		[]string{"dm", "opt", "lru:ways=4", "victim"})
 	pending := allPending(len(plan.Cells))
 	groups := plan.Partition(pending, nil)
 
-	// 2 sources × 2 lines × 2 eligible policies (dm, lru) = 8 columns.
-	if len(groups) != 8 {
-		t.Fatalf("got %d groups, want 8", len(groups))
+	// 2 sources × 2 lines × 3 eligible policies (dm, opt, lru) = 12
+	// columns.
+	if len(groups) != 12 {
+		t.Fatalf("got %d groups, want 12", len(groups))
 	}
 	covered := map[int]bool{}
+	optGroups := 0
 	for _, g := range groups {
 		if len(g.Indices) != 3 {
 			t.Errorf("group has %d members, want the 3 sizes", len(g.Indices))
@@ -72,8 +75,11 @@ func TestPartitionColumns(t *testing.T) {
 			}
 			covered[pos] = true
 			label := plan.Cells[pos].Label
-			if strings.Contains(label, "/opt") {
-				t.Errorf("opt cell %q grouped; opt has no column kernel", label)
+			if strings.HasSuffix(label, "/victim") {
+				t.Errorf("victim cell %q grouped; victim has no column kernel", label)
+			}
+			if k == 0 && strings.HasSuffix(label, "/opt") {
+				optGroups++
 			}
 			// Same (source, line, policy): labels differ only in the size
 			// field, and sizes ascend with member order.
@@ -89,7 +95,11 @@ func TestPartitionColumns(t *testing.T) {
 			t.Errorf("constructor: col=%v err=%v", col, err)
 		}
 	}
-	// The remainder is exactly the opt cells: 2 sources × 3 sizes × 2 lines.
+	if optGroups != 4 {
+		t.Errorf("%d opt columns, want one per source and line (4)", optGroups)
+	}
+	// The remainder is exactly the victim cells: 2 sources × 3 sizes × 2
+	// lines.
 	if got, want := len(plan.Cells)-len(covered), 12; got != want {
 		t.Errorf("%d cells left ungrouped, want %d", got, want)
 	}

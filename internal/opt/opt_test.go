@@ -117,7 +117,7 @@ func TestDynamicExclusionWithinTwoMissesOnPaperPatterns(t *testing.T) {
 func TestNextUses(t *testing.T) {
 	refs := []trace.Ref{{Addr: 0}, {Addr: 4}, {Addr: 0}, {Addr: 16}}
 	// 4B lines: blocks 0,1,0,4.
-	next := nextUses(refs, geomDM())
+	next := nextUses(blocksOf(refs, 4))
 	want := []int64{2, infinity, infinity, infinity}
 	for i := range want {
 		if next[i] != want[i] {

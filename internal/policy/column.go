@@ -4,26 +4,30 @@ import (
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/multisim"
+	"repro/internal/opt"
 )
 
-// Column returns a constructor for a multisim column kernel that
-// drives this spec at every size in sizes (sharing one line size) in a
-// single stream pass, or ok=false when the spec is not column-eligible.
-// The constructor is deferred — like Cell's PolicyFunc it runs on an
+// Column returns a constructor for a column kernel that drives this
+// spec at every size in sizes (sharing one line size) in a single
+// stream pass, or ok=false when the spec is not column-eligible. The
+// constructor is deferred — like Cell's PolicyFunc it runs on an
 // engine worker, freshly per attempt — and the returned kernel's
 // Outcomes follow the order of sizes.
 //
 // Eligibility (DESIGN.md §15): dm, de (any option set), lru, and fifo
-// columns are kernel-backed. opt needs the whole future of the stream
-// per geometry, and victim / stream / de-stream carry auxiliary-buffer
-// state whose traffic depends on each cell's own miss sequence, so
-// those families fall back to cell-by-cell simulation. A column whose
-// member geometries do not all validate is also ineligible, so the
-// per-cell path surfaces the construction error for the right cell.
+// columns are multisim kernels. opt's column (opt.DMColumn) computes
+// the stream's next uses once for the whole column and runs a forward
+// pass per size; it is an engine.WholeStreamColumn, handed the whole
+// stream in one call. victim / stream / de-stream carry
+// auxiliary-buffer state whose traffic depends on each cell's own miss
+// sequence, so those families fall back to cell-by-cell simulation. A
+// column whose member geometries do not all validate with power-of-two
+// set counts is also ineligible, so the per-cell path surfaces the
+// construction error for the right cell.
 func (s Spec) Column(line uint64, sizes []uint64) (func() (engine.Column, error), bool) {
 	ways := 1
 	switch s.family {
-	case "dm", "de":
+	case "dm", "de", "opt":
 	case "lru", "fifo":
 		ways = s.ways
 	default:
@@ -35,18 +39,21 @@ func (s Spec) Column(line uint64, sizes []uint64) (func() (engine.Column, error)
 	// Copy: the constructor outlives this call and callers may reuse
 	// their slice.
 	sz := append([]uint64(nil), sizes...)
+	// The last-line decision depends only on the line size, which the
+	// whole column shares.
+	lastLine := s.lastLineEnabled(cache.Geometry{Size: sz[0], LineSize: line, Ways: 1})
 	switch s.family {
 	case "dm":
 		return func() (engine.Column, error) { return multisim.NewDM(line, sz) }, true
+	case "opt":
+		return func() (engine.Column, error) { return opt.NewDMColumn(line, sz, lastLine) }, true
 	case "de":
 		cfg := multisim.DEConfig{
 			StickyMax: s.sticky,
 			Hashed:    s.hashed,
 			Bits:      s.bits,
 			AssumeHit: !s.coldMiss,
-			// The register decision depends only on the line size, which
-			// the whole column shares.
-			LastLine: s.lastLineEnabled(cache.Geometry{Size: sz[0], LineSize: line, Ways: 1}),
+			LastLine:  lastLine,
 		}
 		return func() (engine.Column, error) { return multisim.NewDE(cfg, line, sz) }, true
 	case "lru":
