@@ -17,7 +17,7 @@
 // JSON covering every simulation cell the experiments scheduled,
 // -trace-events logs structured JSONL run events (one annotation per
 // experiment plus the engine's cell events; summarize with
-// `dynex-sweep -trace-summary`), and -debug-addr serves expvar counters
+// `dynex-sweep -trace-summary`), and -debug-addr serves live /metrics
 // and pprof profiles so a multi-hour regeneration can be profiled
 // mid-flight. Telemetry never changes stdout.
 package main
@@ -82,7 +82,7 @@ func run(ctx context.Context) (err error) {
 		ckptPath   = flag.String("checkpoint", "", "journal finished experiments to this file and resume from it")
 		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile  = flag.String("trace-events", "", "write a structured JSONL event log of the run to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060) during the run")
 	)
 	flag.Parse()
 
@@ -137,13 +137,12 @@ func run(ctx context.Context) (err error) {
 			}
 		}()
 		if *debugAddr != "" {
-			col.Publish("dynex.experiments")
 			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "dynex-experiments: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
+			fmt.Fprintf(os.Stderr, "dynex-experiments: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", addr)
 		}
 	}
 

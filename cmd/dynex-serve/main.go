@@ -57,7 +57,7 @@ func run() error {
 		drainGrace   = flag.Duration("drain-grace", 10*time.Second, "how long shutdown waits for running jobs before checkpointing them")
 		heartbeat    = flag.Duration("heartbeat", 10*time.Second, "idle heartbeat interval on result streams")
 		reportEvery  = flag.Duration("report-interval", 2*time.Second, "interval between report-delta frames on result streams")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
+		debugAddr    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
@@ -96,7 +96,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "dynex-serve: debug server on http://%s/metrics (expvar at /debug/vars)\n", dbg)
+		fmt.Fprintf(os.Stderr, "dynex-serve: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", dbg)
 	}
 
 	// Run blocks until the signal arrives, then drains; the HTTP

@@ -28,7 +28,7 @@
 // readable RunReport (throughput, percentile cell latencies, retry/panic/
 // timeout counts, checkpoint savings), -trace-events logs structured
 // JSONL run events replayable with -trace-summary, -progress shows rate
-// and ETA, and -debug-addr serves expvar counters and pprof profiles for
+// and ETA, and -debug-addr serves live /metrics and pprof profiles for
 // watching a long sweep mid-flight. Telemetry never touches stdout: the
 // CSV is byte-identical with and without it.
 //
@@ -100,7 +100,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		reportPath  = fs.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile   = fs.String("trace-events", "", "write a structured JSONL event log of the run to this file")
 		traceSum    = fs.String("trace-summary", "", "summarize an event log written by -trace-events and exit")
-		debugAddr   = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060) during the sweep")
+		debugAddr   = fs.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060) during the sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -201,8 +201,8 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Telemetry: one collector feeds the progress meter, the -report
-	// aggregation, the -trace-events log, and the -debug-addr expvar
-	// publication. All of it is observational — stdout CSV is identical
+	// aggregation, the -trace-events log, and the -debug-addr /metrics
+	// instruments. All of it is observational — stdout CSV is identical
 	// with and without these flags.
 	var col *telemetry.Collector
 	if *progress || *reportPath != "" || *traceFile != "" || *debugAddr != "" {
@@ -229,13 +229,12 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 		if *debugAddr != "" {
-			col.Publish("dynex.sweep")
 			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stderr, "dynex-sweep: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
+			fmt.Fprintf(stderr, "dynex-sweep: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", addr)
 		}
 	}
 

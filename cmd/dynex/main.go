@@ -60,7 +60,7 @@ func run(ctx context.Context) error {
 		strategy   = flag.String("strategy", "assume-hit", "hit-last storage with -l2: assume-hit, assume-miss, hashed")
 		benches    = flag.Bool("benches", false, "list benchmarks and exit")
 		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON (simulation wall time, refs/sec) to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
@@ -112,13 +112,12 @@ func run(ctx context.Context) error {
 		col = telemetry.NewCollector(1)
 	}
 	if *debugAddr != "" {
-		col.Publish("dynex.run")
 		col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 		addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "dynex: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "dynex: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", addr)
 	}
 	simStart := time.Now()
 	writeReport := func() error {

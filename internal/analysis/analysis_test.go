@@ -348,9 +348,14 @@ func TestModulePath(t *testing.T) {
 // metric names, duplicate registration of a const name, dynamic label
 // slices, and non-constant or zero maxSeries bounds are findings, while
 // const names, const label literals (including named label constants),
-// and positive constant bounds — plain or arithmetic — pass.
+// and positive constant bounds — plain or arithmetic — pass. Registering
+// an expvar variable is a finding; reading one or mounting
+// expvar.Handler() is not.
 func TestObsMetricsFixture(t *testing.T) {
 	wantDiags(t, checkFixture(t, "obsmetrics"), []string{
+		`internal/svc/expvar.go:9: [obs-metrics] expvar.Publish publishes a second live metrics surface at /debug/vars: register an obs instrument and scrape it at /metrics instead`,
+		`internal/svc/expvar.go:10: [obs-metrics] expvar.NewInt publishes a second live metrics surface at /debug/vars: register an obs instrument and scrape it at /metrics instead`,
+		`internal/svc/expvar.go:11: [obs-metrics] expvar.NewMap publishes a second live metrics surface at /debug/vars: register an obs instrument and scrape it at /metrics instead`,
 		`internal/svc/svc.go:31: [obs-metrics] metric name in Registry.NewCounter is not a package-level const: declare the name as a const so the series is greppable and stable`,
 		`internal/svc/svc.go:33: [obs-metrics] metric name in Registry.NewGauge is not a package-level const: declare the name as a const so the series is greppable and stable`,
 		`internal/svc/svc.go:34: [obs-metrics] metric "svc_jobs_total" is already registered at internal/svc/svc.go:23: register each name exactly once`,

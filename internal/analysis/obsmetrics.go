@@ -19,9 +19,14 @@ import (
 //   - Vec labels must be a composite literal of string constants and the
 //     maxSeries bound a positive constant: label sets and cardinality
 //     caps are part of the metric's declared shape, not runtime data.
+//
+// It also reports every call to expvar's registration functions
+// (expvar.Publish, NewInt, ...): GET /metrics is the one live counter
+// surface, and an expvar variable would be a second copy beside it.
+// Mounting expvar.Handler() for the runtime's default vars is allowed.
 var ObsMetricsAnalyzer = &Analyzer{
 	Name: "obs-metrics",
-	Doc:  "metric names must be package-level consts registered exactly once, with constant label sets and positive cardinality bounds",
+	Doc:  "metric names must be package-level consts registered exactly once, with constant label sets and positive cardinality bounds; no expvar publication",
 	Run:  runObsMetrics,
 }
 
@@ -38,11 +43,13 @@ var obsRegisterMethods = map[string]struct{ labelsIdx, maxIdx int }{
 	"NewHistogramVec": {3, 4},
 }
 
+// expvarPublishers are the expvar functions that register a variable.
+var expvarPublishers = map[string]bool{
+	"Publish": true, "NewInt": true, "NewFloat": true, "NewMap": true, "NewString": true,
+}
+
 func runObsMetrics(pass *Pass) {
 	registry := obsRegistryType(pass.Module)
-	if registry == nil {
-		return
-	}
 	info := pass.Pkg.Info
 	// seen maps a metric name value to its first registration site in
 	// this package.
@@ -54,7 +61,13 @@ func runObsMetrics(pass *Pass) {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			if fn == nil || !isMethodOf(fn, registry) {
+			if fn != nil && expvarPublishers[fn.Name()] && isPkgFunc(fn, "expvar", fn.Name()) {
+				pass.Reportf(call.Pos(),
+					"expvar.%s publishes a second live metrics surface at /debug/vars: register an obs instrument and scrape it at /metrics instead",
+					fn.Name())
+				return true
+			}
+			if fn == nil || registry == nil || !isMethodOf(fn, registry) {
 				return true
 			}
 			m, ok := obsRegisterMethods[fn.Name()]

@@ -10,7 +10,7 @@ import (
 
 // DebugMux builds the unified debug surface every binary exposes:
 //
-//	/debug/vars     expvar JSON (RunReport-shaped snapshots)
+//	/debug/vars     expvar JSON (the Go runtime's cmdline and memstats)
 //	/debug/pprof/*  the standard pprof handlers
 //	/metrics        reg in Prometheus text exposition format
 //

@@ -38,10 +38,8 @@ const (
 // the shared overflow series instead of growing the registry.
 const tenantMaxSeries = 64
 
-// serveMetrics is the server's obs instrument set. It complements (and
-// will eventually replace) the flat Metrics atomics that still back the
-// /debug/vars expvar snapshot; both are bumped together so the two
-// surfaces never disagree.
+// serveMetrics is the server's obs instrument set, the one live counter
+// surface of the service (GET /metrics).
 type serveMetrics struct {
 	reg *obs.Registry
 	// inst is the engine/telemetry instrument set registered on the same

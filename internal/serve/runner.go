@@ -58,7 +58,6 @@ func (s *Server) runJob(j *job) {
 		j.m.FailedCells = failedCells
 		j.mu.Unlock()
 		s.setState(j, StateDone, "")
-		s.metrics.JobsDone.Add(1)
 		s.obsm.jobsDone.Inc()
 		done, total := j.progress()
 		j.tail.finish(Event{Type: "done", State: StateDone, Done: done, Total: total})
@@ -67,7 +66,6 @@ func (s *Server) runJob(j *job) {
 		j.tail.finish(Event{Type: "done", State: StateCancelled})
 	case errors.Is(err, context.DeadlineExceeded):
 		s.setState(j, StateFailed, "job deadline exceeded")
-		s.metrics.JobsFailed.Add(1)
 		s.obsm.jobsFailed.Inc()
 		j.tail.finish(Event{Type: "done", State: StateFailed, Error: "job deadline exceeded"})
 	case errors.Is(err, errShutdown), errors.Is(err, context.Canceled):
@@ -78,7 +76,6 @@ func (s *Server) runJob(j *job) {
 		return
 	default:
 		s.setState(j, StateFailed, err.Error())
-		s.metrics.JobsFailed.Add(1)
 		s.obsm.jobsFailed.Inc()
 		j.tail.finish(Event{Type: "done", State: StateFailed, Error: err.Error()})
 	}
@@ -126,7 +123,6 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	j.done = resumed
 	j.resumed = resumed
 	j.mu.Unlock()
-	s.metrics.ResumedCells.Add(uint64(resumed))
 	s.obsm.cellsResumed.Add(uint64(resumed))
 	for i := range plan.Cells {
 		if i < len(merged) && merged[i].Attempts > 0 {
@@ -201,7 +197,6 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Error: "journal: " + err.Error()})
 			}
 			merged[i] = r
-			s.metrics.CellsRun.Add(1)
 			s.obsm.cellsDone.Inc()
 			j.mu.Lock()
 			j.done++

@@ -123,9 +123,7 @@ type Server struct {
 	jobsCancel context.CancelCauseFunc
 	wg         sync.WaitGroup // dispatcher + running jobs
 
-	metrics Metrics
-	// obsm is the typed metrics surface behind GET /metrics; the flat
-	// Metrics atomics above stay for the /debug/vars expvar snapshot.
+	// obsm is the metrics surface behind GET /metrics.
 	obsm *serveMetrics
 }
 
@@ -174,10 +172,8 @@ func New(cfg Config) (*Server, error) {
 		j.enqueuedAt = time.Now()
 		s.jobs[m.ID] = j
 		s.q.pushRecovered(j)
-		s.metrics.ResumedJobs.Add(1)
 		s.obsm.jobsResumed.Inc()
 	}
-	s.publish("dynex.serve")
 	return s, nil
 }
 
@@ -215,7 +211,6 @@ func (s *Server) Run(ctx context.Context) error {
 		s.jobsCancel(errShutdown)
 		<-finished
 	}
-	s.metrics.DrainNanos.Store(int64(time.Since(drainStart)))
 	s.obsm.drain.Set(time.Since(drainStart).Seconds())
 	return nil
 }
@@ -239,7 +234,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // admission error.
 func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	if err := js.validate(s.cfg); err != nil {
-		s.metrics.RejectedBad.Add(1)
 		s.obsm.rejected.WithLabelValues(tenant, rejectValidation).Inc()
 		return Manifest{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
@@ -247,7 +241,6 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	// a worker first materializes the stream.
 	if js.Trace != "" {
 		if _, err := s.st.readTrace(traceDigest(js.Trace)); err != nil {
-			s.metrics.RejectedBad.Add(1)
 			s.obsm.rejected.WithLabelValues(tenant, rejectValidation).Inc()
 			return Manifest{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 		}
@@ -276,7 +269,6 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	if s.draining.Load() || !s.q.push(j) {
 		// Refused: roll the durable record back to a terminal state so a
 		// restart does not resurrect a job the client was told to retry.
-		s.metrics.Rejected429.Add(1)
 		s.obsm.rejected.WithLabelValues(tenant, rejectBackpressure).Inc()
 		s.setState(j, StateCancelled, "refused: queue full")
 		code := http.StatusTooManyRequests
@@ -285,7 +277,6 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 		}
 		return Manifest{}, &httpError{code: code, msg: "queue full, retry later", retryAfter: 1}
 	}
-	s.metrics.Admitted.Add(1)
 	s.obsm.admitted.WithLabelValues(tenant).Inc()
 	return m, nil
 }

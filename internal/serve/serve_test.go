@@ -205,10 +205,10 @@ func TestServeLoadKillRestart(t *testing.T) {
 	// moment some running job has journaled part of its grid, so the
 	// kill interrupts progress the restart must resume.
 	deadline := time.Now().Add(60 * time.Second)
-	for (s1.metrics.JobsDone.Load() < 40 || !midJournal(s1, ids)) && time.Now().Before(deadline) {
+	for (s1.obsm.jobsDone.Value() < 40 || !midJournal(s1, ids)) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s1.metrics.JobsDone.Load(); got < 40 {
+	if got := s1.obsm.jobsDone.Value(); got < 40 {
 		t.Fatalf("only %d jobs done before kill deadline", got)
 	}
 	s1.Kill()
@@ -248,7 +248,7 @@ func TestServeLoadKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.metrics.ResumedJobs.Load() == 0 {
+	if s2.obsm.jobsResumed.Value() == 0 {
 		t.Error("restart resumed no jobs; the kill should have interrupted some")
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -316,7 +316,7 @@ func TestServeLoadKillRestart(t *testing.T) {
 			t.Errorf("torn job %s resumed no cells", torn)
 		}
 	}
-	if s2.metrics.ResumedCells.Load() == 0 {
+	if s2.obsm.cellsResumed.Value() == 0 {
 		t.Error("restart replayed no journaled cells; resume did not engage")
 	}
 }
@@ -374,8 +374,8 @@ func TestServeBackpressure(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("readyz while backlogged = %d, want 503", code)
 	}
-	if s.metrics.Rejected429.Load() != 1 {
-		t.Errorf("rejected_429 = %d, want 1", s.metrics.Rejected429.Load())
+	if n := s.obsm.rejected.WithLabelValues("anon", rejectBackpressure).Value(); n != 1 {
+		t.Errorf("backpressure rejections = %d, want 1", n)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz = %d, want 200 (liveness is not readiness)", code)
@@ -425,7 +425,7 @@ func TestServeDrainZeroLoss(t *testing.T) {
 	// SIGTERM: drain with a grace window far shorter than the jobs.
 	cancel()
 	<-done
-	if d := time.Duration(s.metrics.DrainNanos.Load()); d <= 0 {
+	if d := s.obsm.drain.Value(); d <= 0 {
 		t.Error("drain time not recorded")
 	}
 
@@ -654,21 +654,12 @@ func TestServeTraceUploadJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); cancel(); <-done }()
 
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4096; i++ {
-		if err := w.Write(trace.Ref{Addr: uint64(i%97) * 4, Kind: trace.Instr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	refs := make([]trace.Ref, 4096)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: uint64(i%97) * 4, Kind: trace.Instr}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(encodeTrace(t, refs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,20 +702,11 @@ func TestServeTraceUploadJob(t *testing.T) {
 // upload of the same digest. Re-uploading the full bytes repairs the
 // file, and a job over the trace completes with the ground-truth CSV.
 func TestServeTornTraceReupload(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	refs := make([]trace.Ref, 4096)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: uint64(i%97) * 40961, Kind: trace.Instr}
 	}
-	for i := 0; i < 4096; i++ {
-		if err := w.Write(trace.Ref{Addr: uint64(i%97) * 40961, Kind: trace.Instr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encodeTrace(t, refs)
 	sum := sha256.Sum256(full)
 	digest := hex.EncodeToString(sum[:])[:16]
 
@@ -787,6 +769,124 @@ func TestServeTornTraceReupload(t *testing.T) {
 	}
 }
 
+// encodeTrace returns the trace-file encoding of refs.
+func encodeTrace(t *testing.T, refs []trace.Ref) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServeTruncatedTraceRejected pins the read-side digest check: a
+// stored trace torn at a record boundary decodes cleanly as a shorter
+// stream, so only re-hashing it catches the damage. Admission refuses a
+// job over it with 400, and a job admitted before the damage fails its
+// cells instead of serving a CSV simulated over too few references.
+func TestServeTruncatedTraceRejected(t *testing.T) {
+	refs := make([]trace.Ref, 4096)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: uint64(i%89) * 4, Kind: trace.Instr}
+	}
+	full := encodeTrace(t, refs)
+	torn := encodeTrace(t, refs[:len(refs)-1])
+	if !bytes.HasPrefix(full, torn) {
+		t.Fatal("N-1 reference encoding is not a byte prefix of the N reference one")
+	}
+	fr, err := trace.NewFileReader(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := trace.Collect(fr, 0); err != nil || len(got) != len(refs)-1 {
+		t.Fatalf("torn trace decodes to %d refs (err %v), want a clean %d", len(got), err, len(refs)-1)
+	}
+
+	cfg := testConfig(t.TempDir())
+	cfg.EnableFaults = false
+	release := make(chan struct{})
+	cfg.BeforeJob = func(string) { <-release }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); cancel(); <-done }()
+
+	upload := func() string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var up struct {
+			Trace string `json:"trace"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+			t.Fatal(err)
+		}
+		return up.Trace
+	}
+	handle := upload()
+	path := filepath.Join(cfg.DataDir, "traces", strings.TrimPrefix(handle, "trace:")+".trace")
+	tear := func() {
+		t.Helper()
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	js := JobSpec{Trace: handle, Refs: len(refs),
+		Sizes: []uint64{1024, 2048}, Lines: []uint64{4}, Policies: []string{"dm", "de"}}
+
+	// Torn before admission: refused, and the error names the trace.
+	tear()
+	body, err := json.Marshal(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "corrupt") {
+		t.Errorf("job over a torn trace: %d %s, want 400 naming the trace corrupt", resp.StatusCode, msg)
+	}
+
+	// Torn after admission: the run reads the trace again and every
+	// cell fails, so no row is simulated over the short stream.
+	if upload() != handle {
+		t.Fatal("re-upload changed the handle")
+	}
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("job over a repaired trace: %d", code)
+	}
+	tear()
+	close(release)
+	waitAllTerminal(t, ts.URL, 30*time.Second)
+	var stt Status
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+	if stt.FailedCells != stt.Total || stt.Total != 4 {
+		t.Errorf("job over a trace torn after admission: state %s, %d of %d cells failed; want all 4",
+			stt.State, stt.FailedCells, stt.Total)
+	}
+}
+
 // TestServeValidation pins the graceful-degradation refusals.
 func TestServeValidation(t *testing.T) {
 	cfg := testConfig(t.TempDir())
@@ -825,8 +925,8 @@ func TestServeValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
-	if n := s.metrics.RejectedBad.Load(); n != uint64(len(cases)) {
-		t.Errorf("rejected_validation = %d, want %d", n, len(cases))
+	if n := s.obsm.rejected.WithLabelValues("alice", rejectValidation).Value(); n != uint64(len(cases)) {
+		t.Errorf("validation rejections = %d, want %d", n, len(cases))
 	}
 	if _, code := postJob(t, ts.URL, "alice", ok); code != http.StatusAccepted {
 		t.Errorf("valid job refused")

@@ -155,7 +155,10 @@ func (st *store) putTrace(data []byte) (string, error) {
 	return "trace:" + digest, nil
 }
 
-// readTrace returns an uploaded trace's bytes by digest.
+// readTrace returns an uploaded trace's bytes by digest, re-verified
+// against it. A trace torn at a record boundary still decodes cleanly
+// (EOF ends the stream), so without the check a job would silently
+// simulate fewer references.
 func (st *store) readTrace(digest string) ([]byte, error) {
 	if strings.ContainsAny(digest, "/\\.") {
 		return nil, fmt.Errorf("serve: bad trace digest %q", digest)
@@ -163,6 +166,10 @@ func (st *store) readTrace(digest string) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(st.dir, "traces", digest+".trace"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: unknown trace %q", digest)
+	}
+	sum := sha256.Sum256(data)
+	if hex.EncodeToString(sum[:])[:16] != digest {
+		return nil, fmt.Errorf("serve: trace %q is corrupt: content does not match its digest; re-upload it", digest)
 	}
 	return data, nil
 }

@@ -203,15 +203,16 @@ func TestReadEventsTornTail(t *testing.T) {
 	}
 }
 
-func TestPublishAndServeDebug(t *testing.T) {
-	c := NewCollector(2)
+// The collector's live counters reach a scraper only through its
+// instruments on GET /metrics; /debug/vars carries the Go runtime's
+// default vars and nothing of the run.
+func TestCollectorMetricsOnServeDebug(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCollector(3)
+	c.SetInstruments(NewInstruments(reg, nil))
 	feed(c, 1)
-	c.Publish("telemetry.test")
-	// Re-publishing the same name must rebind, not panic.
-	c2 := NewCollector(99)
-	c2.Publish("telemetry.test")
 
-	addr, err := obs.ServeDebug("127.0.0.1:0", obs.NewRegistry())
+	addr, err := obs.ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatalf("obs.ServeDebug: %v", err)
 	}
@@ -231,11 +232,23 @@ func TestPublishAndServeDebug(t *testing.T) {
 		}
 		return string(body)
 	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"telemetry.test"`) || !strings.Contains(vars, `"cells_total":99`) {
-		t.Errorf("/debug/vars missing the re-published collector:\n%s", vars)
+	metrics := get("/metrics")
+	for _, want := range []string{
+		MetricCellsCompleted + " 3",
+		MetricCellsFailed + " 1",
+		MetricCellsInflight + " 0",
+		MetricCellAttempts + " 4",
+		MetricCellRetries + " 1",
+		MetricRefs + " 2000",
+		MetricCkptHits + " 1",
+		MetricCkptWrites + " 1",
+	} {
+		if !strings.Contains(metrics, "\n"+want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
 	}
-	if out := get("/debug/pprof/cmdline"); out == "" {
-		t.Error("/debug/pprof/cmdline returned an empty body")
+	vars := get("/debug/vars")
+	if !strings.Contains(vars, `"memstats"`) || strings.Contains(vars, "cells_total") {
+		t.Errorf("/debug/vars should hold only the runtime's default vars:\n%s", vars)
 	}
 }
