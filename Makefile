@@ -79,8 +79,11 @@ serve-smoke:
 # Fault-injection suite: once with the fixed default seed (the set CI
 # covers), once with a random seed. The seed is printed so a randomized
 # failure replays exactly with `go test ./internal/faultinject -faultseed=N`.
+# Then the fault directive end to end: the shared grid runner, the
+# sweep's -inject, and a served job's inject field (DESIGN.md §7).
 faults:
 	go test -count=1 ./internal/faultinject/
 	@seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
 	echo "randomized run: -faultseed=$$seed"; \
 	go test -count=1 ./internal/faultinject/ -faultseed=$$seed
+	go test -count=1 -run 'Inject|Fault' ./internal/grid/ ./cmd/dynex-sweep/ ./internal/serve/

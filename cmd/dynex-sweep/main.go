@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -63,7 +61,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -151,9 +148,9 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("bad -policies: %w", err)
 		}
 	}
-	injectStreamFail, injectPanic, err := parseInject(*inject)
+	faults, err := faultinject.ParseDirective(*inject)
 	if err != nil {
-		return err
+		return fmt.Errorf("bad -inject %w", err)
 	}
 	var benchNames []string
 	if *suite {
@@ -178,11 +175,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if injectStreamFail > 0 {
-		for i := range sources {
-			sources[i].Stream = faultinject.FlakyStream(sources[i].Stream, faultinject.NewBudget(injectStreamFail))
-		}
-	}
 	plan, err := grid.Spec{
 		Sources: sources, Kind: *kind, Refs: *refs,
 		Sizes: sizeList, Lines: lineList, Policies: polList,
@@ -190,15 +182,8 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cells, fps := plan.Cells, plan.FPs
-	for i := range cells {
-		if *scalarOnly {
-			forceScalar(&cells[i])
-		}
-		if injectPanic != "" && strings.Contains(cells[i].Label, injectPanic) {
-			injectCellPanic(&cells[i])
-		}
-	}
+	faults.Apply(&plan)
+	cells := plan.Cells
 
 	// Telemetry: one collector feeds the progress meter, the -report
 	// aggregation, the -trace-events log, and the -debug-addr /metrics
@@ -238,9 +223,8 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Resume: cells already in the journal are prefilled and skipped; only
-	// the remainder is scheduled.
-	merged := make([]engine.Result, len(cells))
+	// Resume: cells already in the journal are restored and skipped;
+	// only the remainder is scheduled.
 	var journal *checkpoint.Journal
 	if *ckptPath != "" {
 		journal, err = checkpoint.Open(*ckptPath)
@@ -249,31 +233,21 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer journal.Close()
 	}
-	var pendIdx []int
-	var pendCells []engine.Cell
-	for i := range cells {
+	run := plan.Resume(journal)
+	if col != nil {
+		for _, i := range run.Restored {
+			col.CheckpointHit(cells[i].Label, run.Results[i].Wall)
+		}
 		if journal != nil {
-			if rec, ok := journal.Lookup(fps[i]); ok {
-				merged[i] = engine.Result{Label: cells[i].Label, Stats: rec.Stats,
-					Attempts: rec.Attempts, Wall: time.Duration(rec.WallNS)}
-				if col != nil {
-					col.CheckpointHit(cells[i].Label, time.Duration(rec.WallNS))
-				}
-				continue
-			}
-			if col != nil {
+			for range run.Pending {
 				col.CheckpointMiss()
 			}
 		}
-		pendIdx = append(pendIdx, i)
-		pendCells = append(pendCells, cells[i])
+		col.SetTotal(len(run.Pending))
 	}
-	if col != nil {
-		col.SetTotal(len(pendCells))
-	}
-	if journal != nil && len(pendCells) < len(cells) {
+	if len(run.Restored) > 0 {
 		fmt.Fprintf(stderr, "dynex-sweep: resuming: %d of %d cells journaled, %d to run\n",
-			len(cells)-len(pendCells), len(cells), len(pendCells))
+			len(run.Restored), len(cells), len(run.Pending))
 	}
 
 	var report func(done, total int)
@@ -295,23 +269,10 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	sweepCtx, bail := context.WithCancel(ctx)
 	defer bail()
 	failures, bailed := 0, false
-	onResult := func(pi int, r engine.Result) {
+	onResult := func(_ int, r engine.Result) {
 		// Serialized by the engine: no locking needed here.
 		if r.Err == nil {
-			if journal != nil {
-				rec := checkpoint.Record{Fingerprint: fps[pendIdx[pi]], Label: r.Label,
-					Stats: r.Stats, Attempts: r.Attempts, WallNS: int64(r.Wall)}
-				saveStart := time.Now()
-				if err := journal.Append(rec); err != nil {
-					fmt.Fprintf(stderr, "dynex-sweep: checkpoint: %v\n", err)
-				} else if col != nil {
-					col.CheckpointWrite(r.Label, time.Since(saveStart))
-				}
-			}
 			return
-		}
-		if errors.Is(r.Err, context.Canceled) {
-			return // a cancellation casualty, not a failure of its own
 		}
 		failures++
 		if *maxFailures > 0 && failures >= *maxFailures && !bailed {
@@ -319,22 +280,12 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			bail()
 		}
 	}
-
-	// Column units (DESIGN.md §15): partition the pending cells into
-	// maximal single-pass size columns. Scheduling only — results,
-	// journal records, and CSV bytes are pinned identical to the
-	// cell-by-cell path. -scalar forms none: column kernels are batch
-	// kernels, so they cannot honor one Access per reference.
-	// Panic-injected cells stay per-cell: the injection wraps the cell's
-	// own simulator, which a column kernel never constructs, so grouping
-	// them would un-inject the fault.
-	var groups []engine.Group
-	if !*scalarOnly {
-		var skip func(int) bool
-		if injectPanic != "" {
-			skip = func(pi int) bool { return strings.Contains(cells[pi].Label, injectPanic) }
+	journaled := func(i int, took time.Duration, err error) {
+		if err != nil {
+			fmt.Fprintf(stderr, "dynex-sweep: checkpoint: %v\n", err)
+		} else if col != nil {
+			col.CheckpointWrite(cells[i].Label, took)
 		}
-		groups = plan.Partition(pendIdx, skip)
 	}
 
 	// A typed-nil *Collector must not become a non-nil interface.
@@ -342,17 +293,20 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if col != nil {
 		engCol = col
 	}
-	fresh, runErr := engine.RunGrouped(sweepCtx, pendCells, groups, engine.Options{
-		Workers:     *workers,
-		Progress:    report,
-		OnResult:    onResult,
-		Retry:       engine.Retry{Attempts: *retries + 1},
-		CellTimeout: *cellTimeout,
-		Collector:   engCol,
+	// The grid runner forms size columns (DESIGN.md §15), none under
+	// -scalar, and journals each success before onResult sees it.
+	runErr := run.Execute(sweepCtx, grid.RunOptions{
+		Engine: engine.Options{
+			Workers:     *workers,
+			Progress:    report,
+			OnResult:    onResult,
+			Retry:       engine.Retry{Attempts: *retries + 1},
+			CellTimeout: *cellTimeout,
+			Collector:   engCol,
+		},
+		Scalar:    *scalarOnly,
+		Journaled: journaled,
 	})
-	for pi, i := range pendIdx {
-		merged[i] = fresh[pi]
-	}
 	if runErr != nil && !bailed {
 		return runErr // the user's interrupt, not a cell failure
 	}
@@ -361,7 +315,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// cells[i] regardless of completion order, so the CSV is identical to
 	// the serial version's; rows for failed cells are withheld and
 	// reported on stderr instead.
-	failed, err := plan.WriteCSV(stdout, merged)
+	failed, err := plan.WriteCSV(stdout, run.Results)
 	if err != nil {
 		return err
 	}
@@ -380,69 +334,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("aborted after %d cell failures (-max-failures=%d)", failures, *maxFailures)
 	}
 	return fmt.Errorf("%d of %d cells failed", len(failed), len(cells))
-}
-
-// parseInject decodes the -inject flag: "stream-fail=N" makes each
-// benchmark's stream fail transiently N times (cleared by retries);
-// "panic=SUBSTR" panics inside every cell whose label contains SUBSTR.
-func parseInject(s string) (streamFail int, panicSubstr string, err error) {
-	if s == "" {
-		return 0, "", nil
-	}
-	mode, arg, ok := strings.Cut(s, "=")
-	if ok {
-		switch mode {
-		case "stream-fail":
-			n, err := strconv.Atoi(arg)
-			if err == nil && n > 0 {
-				return n, "", nil
-			}
-		case "panic":
-			if arg != "" {
-				return 0, arg, nil
-			}
-		}
-	}
-	return 0, "", fmt.Errorf("bad -inject %q: want stream-fail=N or panic=SUBSTR", s)
-}
-
-// forceScalar strips the BatchAccess fast path from a policy cell
-// (cache.ScalarOnly), so the engine drives the simulator one Access per
-// reference. The -scalar CSV must be byte-identical to the batched one —
-// CI's bench-smoke job diffs the two per registered policy. Direct
-// (whole-stream) cells have no Access path to strip.
-func forceScalar(cell *engine.Cell) {
-	if cell.Policy == nil {
-		return
-	}
-	inner := cell.Policy
-	cell.Policy = func(g cache.Geometry) (cache.Simulator, error) {
-		sim, err := inner(g)
-		if err != nil {
-			return nil, err
-		}
-		return cache.ScalarOnly(sim), nil
-	}
-}
-
-// injectCellPanic rewires a cell so its simulation panics — the
-// worker-killing failure the engine must isolate.
-func injectCellPanic(cell *engine.Cell) {
-	switch {
-	case cell.Policy != nil:
-		inner := cell.Policy
-		cell.Policy = func(g cache.Geometry) (cache.Simulator, error) {
-			sim, err := inner(g)
-			if err != nil {
-				return nil, err
-			}
-			return faultinject.NewPanicSim(sim, 1), nil
-		}
-	case cell.Direct != nil:
-		cell.Direct = func([]trace.Ref, cache.Geometry) (cache.Stats, error) {
-			panic("faultinject: injected panic in direct cell")
-		}
-	}
 }
 
 func parseUints(s string) ([]uint64, error) {

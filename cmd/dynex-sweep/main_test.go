@@ -276,9 +276,11 @@ func TestSweepTraceSummaryErrors(t *testing.T) {
 	}
 }
 
-// TestSweepInjectParse rejects malformed -inject values.
+// TestSweepInjectParse rejects malformed -inject values, trailing
+// input included.
 func TestSweepInjectParse(t *testing.T) {
-	for _, bad := range []string{"x", "stream-fail=", "stream-fail=zero", "panic=", "stream-fail"} {
+	for _, bad := range []string{"x", "stream-fail=", "stream-fail=zero", "panic=", "stream-fail",
+		"stream-fail=2abc", "stream-fail=2 "} {
 		if _, _, err := runSweep(t, "-refs", "100", "-inject", bad); err == nil ||
 			!strings.Contains(err.Error(), "bad -inject") {
 			t.Errorf("-inject %q: err = %v, want a parse error", bad, err)

@@ -270,8 +270,8 @@ func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) 
 // sweepAverages computes suite-average miss-rate curves for the three
 // policies over the given cache sizes at one line size. The paper's
 // Figures 4, 11, 12, 14, and 15 are all instances of this sweep. The
-// whole benchmark × size × policy grid is one grid.Plan and one engine
-// run, so cells from different sizes execute concurrently; the engine's
+// whole benchmark × size × policy grid is one grid.Plan and one grid
+// Run, so cells from different sizes execute concurrently; the engine's
 // deterministic result order makes the aggregation independent of
 // scheduling. The plan's Partition decides which (benchmark, policy)
 // size columns run as one column unit — all three here: dm and de on
@@ -296,15 +296,11 @@ func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, l
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	all := make([]int, len(plan.Cells))
-	for i := range all {
-		all[i] = i
-	}
-	results, err := engine.RunGrouped(w.cfg.ctx(), plan.Cells, plan.Partition(all, nil), engine.Options{
+	run := plan.Resume(nil)
+	if err := run.Execute(w.cfg.ctx(), grid.RunOptions{Engine: engine.Options{
 		Workers:   w.cfg.workers(),
 		Collector: w.cfg.Collector,
-	})
-	if err != nil {
+	}}); err != nil {
 		// An error here is the caller's cancellation; panic with an error
 		// value wrapping it so the CLI's recover can errors.Is it.
 		panic(fmt.Errorf("experiments: %w", err))
@@ -318,7 +314,7 @@ func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, l
 		for bi := 0; bi < n; bi++ {
 			base := (bi*len(sizes) + si) * len(pols)
 			for p, rates := range [][]float64{dms, des, ops} {
-				r := results[base+p]
+				r := run.Results[base+p]
 				if r.Err != nil {
 					panic(fmt.Errorf("experiments: %s: %w", r.Label, r.Err))
 				}

@@ -11,8 +11,9 @@
 // reader or stream, and the fault is gone.
 //
 // The package is the substrate for the engine-level fault suite (this
-// package's tests, run by `make faults`) and for the -inject flag of
-// cmd/dynex-sweep.
+// package's tests, run by `make faults`) and owns the one fault
+// directive (Directive) behind cmd/dynex-sweep's -inject flag and a
+// dynex-serve job's inject field.
 package faultinject
 
 import (

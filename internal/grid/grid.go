@@ -1,15 +1,14 @@
-// Package grid builds (stream × size × line × policy) simulation grids:
-// the cell layout, checkpoint fingerprints, and CSV rendering shared by
-// cmd/dynex-sweep and the dynex-serve job runner.
+// Package grid builds and runs (stream × size × line × policy)
+// simulation grids for cmd/dynex-sweep and the dynex-serve job runner.
 //
 // Both consumers must agree byte-for-byte: a serve job's CSV has to be
 // identical to a direct dynex-sweep run of the same cells, and a job
 // journal has to be a valid sweep checkpoint (and vice versa), so the
-// grid order, the label format, the fingerprint composition, and the CSV
-// row rendering live here exactly once. The fingerprint scheme is the
-// historical "dynex-sweep/v1" composition, pinned by
-// cmd/dynex-sweep/testdata/seed_journal.jsonl — journals written before
-// this package existed still resume.
+// grid order, the label format, the fingerprint composition, the run
+// sequence (Run), and the CSV rendering live here exactly once. The
+// fingerprint scheme is the historical "dynex-sweep/v1" composition,
+// pinned by cmd/dynex-sweep/testdata/seed_journal.jsonl — journals
+// written before this package existed still resume.
 package grid
 
 import (
@@ -110,6 +109,10 @@ type Plan struct {
 	Cells []engine.Cell
 	// FPs[i] is Cells[i]'s checkpoint fingerprint.
 	FPs []string
+	// Isolated[i] keeps Cells[i] out of every column (nil: none), for
+	// cells whose own simulator a caller rewrapped (fault injection): a
+	// column kernel never constructs it.
+	Isolated []bool
 }
 
 // Build validates the whole grid — every policy spec parses, every

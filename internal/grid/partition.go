@@ -14,10 +14,10 @@ import (
 // one-cell column has nothing to share, and the cell's own batch
 // kernel is faster than a one-member column kernel — DESIGN.md §15 has
 // the numbers), as do cells of column-ineligible policies or
-// geometries (policy.Spec.Column decides) and cells the caller's skip
-// function excludes (nil skips nothing — sweep and serve use it to
-// keep fault-injected cells on the per-cell path, where the injection
-// wrapper actually runs).
+// geometries (policy.Spec.Column decides), cells the plan isolates
+// (Plan.Isolated: fault-injected cells stay on the per-cell path, where
+// the injection wrapper actually runs), and cells the caller's skip
+// function excludes (nil skips nothing).
 //
 // pending holds plan indices (positions into p.Cells), in the order the
 // caller will hand the corresponding cells to engine.RunGrouped; the
@@ -52,7 +52,7 @@ func (p Plan) Partition(pending []int, skip func(planIdx int) bool) []engine.Gro
 		if pi < 0 || pi >= len(p.Cells) {
 			continue
 		}
-		if skip != nil && skip(pi) {
+		if (pi < len(p.Isolated) && p.Isolated[pi]) || (skip != nil && skip(pi)) {
 			continue
 		}
 		polI := pi % nP

@@ -5,14 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -87,50 +85,30 @@ func (s *Server) runJob(j *job) {
 // job-level failure.
 func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	m := j.manifest()
-	gs, err := m.Spec.gridSpec(s.st)
-	if err != nil {
-		return 0, err
-	}
-	plan, err := gs.Build()
-	if err != nil {
-		return 0, err
-	}
-	applyInject(&plan, m.Spec.Inject)
-
-	journal, err := checkpoint.Open(s.st.journalPath(m.ID))
-	if err != nil {
-		return 0, err
-	}
-	defer journal.Close()
-
 	// Resume: cells already journaled (a previous run of this job) are
 	// restored and replayed onto the event stream; only the rest run.
-	merged := make([]engine.Result, len(plan.Cells))
-	var pendIdx []int
-	var pendCells []engine.Cell
-	resumed := 0
-	for i := range plan.Cells {
-		if rec, ok := journal.Lookup(plan.FPs[i]); ok {
-			merged[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
-			resumed++
-			continue
-		}
-		pendIdx = append(pendIdx, i)
-		pendCells = append(pendCells, plan.Cells[i])
+	run, err := s.resumeJob(m)
+	if err != nil {
+		return 0, err
 	}
+	defer run.Journal.Close()
+	faults, err := faultinject.ParseDirective(m.Spec.Inject)
+	if err != nil {
+		return 0, err
+	}
+	faults.Apply(&run.Plan)
+	resumed := len(run.Restored)
 	j.mu.Lock()
-	j.total = len(plan.Cells)
+	j.total = len(run.Plan.Cells)
 	j.done = resumed
 	j.resumed = resumed
 	j.mu.Unlock()
 	s.obsm.cellsResumed.Add(uint64(resumed))
-	for i := range plan.Cells {
-		if i < len(merged) && merged[i].Attempts > 0 {
-			j.tail.append(cellEvent(i, merged[i], true))
-		}
+	for _, i := range run.Restored {
+		j.tail.append(cellEvent(i, run.Results[i], true))
 	}
 
-	col := telemetry.NewCollector(len(pendCells))
+	col := telemetry.NewCollector(len(run.Pending))
 	col.SetInstruments(s.obsm.inst)
 	col.Start("dynex-serve job " + m.ID)
 	// Periodic report-delta frames: a point-in-time RunReport snapshot on
@@ -159,49 +137,34 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 			}
 		}
 	}()
-	// Column units (DESIGN.md §15): pending cells partition into
-	// single-pass size columns. Panic-injected cells stay per-cell — the
-	// injection wraps the cell's own simulator, which a column kernel
-	// never constructs.
-	var skip func(int) bool
-	if _, panicSubstr, err := parseInject(m.Spec.Inject); err == nil && panicSubstr != "" {
-		skip = func(pi int) bool { return strings.Contains(plan.Cells[pi].Label, panicSubstr) }
-	}
-	_, runErr := engine.RunGrouped(ctx, pendCells, plan.Partition(pendIdx, skip), engine.Options{
-		Workers:     s.cfg.Workers,
-		Retry:       s.cfg.Retry,
-		CellTimeout: s.cfg.CellTimeout,
-		Collector:   col,
-		OnResult: func(pi int, r engine.Result) {
-			i := pendIdx[pi]
-			if r.Err != nil {
-				// Interrupted cells are not outcomes: they re-run on
-				// resume. Real failures are reported but never journaled,
-				// so a future resume retries them.
-				if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
-					return
-				}
-				merged[i] = r
+	// The shared grid runner (the same one dynex-sweep uses) forms the
+	// columns and journals every success before OnResult acknowledges it.
+	failed := 0
+	runErr := run.Execute(ctx, grid.RunOptions{
+		Engine: engine.Options{
+			Workers:     s.cfg.Workers,
+			Retry:       s.cfg.Retry,
+			CellTimeout: s.cfg.CellTimeout,
+			Collector:   col,
+			OnResult: func(i int, r engine.Result) {
 				j.mu.Lock()
 				j.done++
 				j.mu.Unlock()
-				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Attempts: r.Attempts, Error: r.Err.Error()})
-				return
-			}
-			if err := journal.Append(checkpoint.Record{
-				Fingerprint: plan.FPs[i], Label: r.Label, Stats: r.Stats,
-				Attempts: r.Attempts, WallNS: int64(r.Wall),
-			}); err != nil {
+				if r.Err != nil { // never journaled, so a resume retries it
+					failed++
+					j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Attempts: r.Attempts, Error: r.Err.Error()})
+					return
+				}
+				s.obsm.cellsDone.Inc()
+				j.tail.append(cellEvent(i, r, false))
+			},
+		},
+		Journaled: func(i int, _ time.Duration, err error) {
+			if err != nil {
 				// The run result is still correct; only durability is
 				// degraded. The cell re-runs after a crash.
-				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Error: "journal: " + err.Error()})
+				j.tail.append(Event{Type: "cell_error", Index: i, Label: run.Plan.Cells[i].Label, Error: "journal: " + err.Error()})
 			}
-			merged[i] = r
-			s.obsm.cellsDone.Inc()
-			j.mu.Lock()
-			j.done++
-			j.mu.Unlock()
-			j.tail.append(cellEvent(i, r, false))
 		},
 	})
 	close(tickStop)
@@ -236,12 +199,6 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 		}
 		return 0, runErr
 	}
-	failed := 0
-	for i := range merged {
-		if merged[i].Err != nil {
-			failed++
-		}
-	}
 	return failed, nil
 }
 
@@ -256,48 +213,29 @@ func cellEvent(i int, r engine.Result, resumed bool) Event {
 	}
 }
 
-// applyInject applies the sweep-compatible fault directive to a plan:
-// "stream-fail=N" makes every source's stream fail transiently N times
-// (one shared budget, so the engine's retry clears it), "panic=SUBSTR"
-// makes every cell whose label contains SUBSTR panic on its first
-// access. Directives were validated at admission.
-func applyInject(plan *grid.Plan, inject string) {
-	if inject == "" {
-		return
-	}
-	streamFails, panicSubstr, err := parseInject(inject)
-	if err != nil {
-		return
-	}
-	if streamFails > 0 {
-		budget := faultinject.NewBudget(streamFails)
-		for i := range plan.Cells {
-			plan.Cells[i].Stream = faultinject.FlakyStream(plan.Cells[i].Stream, budget)
-		}
-	}
-	if panicSubstr != "" {
-		for i := range plan.Cells {
-			if !strings.Contains(plan.Cells[i].Label, panicSubstr) || plan.Cells[i].Policy == nil {
-				continue
-			}
-			inner := plan.Cells[i].Policy
-			plan.Cells[i].Policy = func(g cache.Geometry) (cache.Simulator, error) {
-				sim, err := inner(g)
-				if err != nil {
-					return nil, err
-				}
-				return faultinject.NewPanicSim(sim, 1), nil
-			}
-		}
-	}
-}
-
 // jobCSV renders a job's final CSV from its journal — the same
 // grid.WriteCSV path dynex-sweep uses, which is what makes the bytes
 // identical. Only terminal jobs have a complete journal; missing cells
 // in a done job are exactly its failed cells, whose rows are withheld.
 func (s *Server) jobCSV(j *job) ([]byte, error) {
-	m := j.manifest()
+	run, err := s.resumeJob(j.manifest())
+	if err != nil {
+		return nil, err
+	}
+	defer run.Journal.Close()
+	for _, i := range run.Pending {
+		run.Results[i].Err = errors.New("cell did not complete")
+	}
+	var buf strings.Builder
+	if _, err := run.Plan.WriteCSV(&buf, run.Results); err != nil {
+		return nil, err
+	}
+	return []byte(buf.String()), nil
+}
+
+// resumeJob plans the job's grid and restores it from the job's
+// journal, which the caller closes.
+func (s *Server) resumeJob(m Manifest) (*grid.Run, error) {
 	gs, err := m.Spec.gridSpec(s.st)
 	if err != nil {
 		return nil, err
@@ -310,18 +248,5 @@ func (s *Server) jobCSV(j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer journal.Close()
-	results := make([]engine.Result, len(plan.Cells))
-	for i := range plan.Cells {
-		if rec, ok := journal.Lookup(plan.FPs[i]); ok {
-			results[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
-			continue
-		}
-		results[i] = engine.Result{Label: plan.Cells[i].Label, Err: fmt.Errorf("cell did not complete")}
-	}
-	var buf strings.Builder
-	if _, err := plan.WriteCSV(&buf, results); err != nil {
-		return nil, err
-	}
-	return []byte(buf.String()), nil
+	return plan.Resume(journal), nil
 }

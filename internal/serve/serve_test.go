@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/trace"
 )
 
@@ -85,7 +86,11 @@ func directCSV(t *testing.T, cfg Config, st *store, js JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyInject(&plan, js.Inject)
+	faults, err := faultinject.ParseDirective(js.Inject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Apply(&plan)
 	results, err := engine.Run(context.Background(), plan.Cells, engine.Options{
 		Workers: cfg.Workers, Retry: cfg.Retry, CellTimeout: cfg.CellTimeout,
 	})
@@ -1052,5 +1057,81 @@ func TestServeMultisimModes(t *testing.T) {
 	resp.Body.Close()
 	if want := directCSV(t, cfg, s.st, js); !bytes.Equal(got, want) {
 		t.Errorf("served CSV differs from direct engine run:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestServeInjectPanicReachesDirectCells pins the one fault directive:
+// panic=/opt fails opt's Direct (whole-stream) cells as well as Policy
+// cells, so the job withholds both opt rows — the CSV dynex-sweep
+// -inject panic=/opt writes for the same grid.
+func TestServeInjectPanicReachesDirectCells(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); cancel(); <-done }()
+
+	clean := JobSpec{Benches: []string{"gcc"}, Kind: "instr", Refs: 4000,
+		Sizes: []uint64{4096, 8192}, Lines: []uint64{4}, Policies: []string{"dm", "opt"}}
+	js := clean
+	js.Inject = "panic=/opt"
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d", code)
+	}
+	waitAllTerminal(t, ts.URL, 30*time.Second)
+	var stt Status
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+	if stt.State != StateDone || stt.FailedCells != 2 {
+		t.Fatalf("job state %s with %d failed cells, want done with the 2 opt cells failed", stt.State, stt.FailedCells)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := directCSV(t, cfg, s.st, js); !bytes.Equal(got, want) {
+		t.Errorf("served CSV differs from the direct run:\n--- got\n%s--- want\n%s", got, want)
+	}
+	// The sweep's partial-failure CSV: the clean grid's rows, opt's
+	// withheld.
+	var want bytes.Buffer
+	for _, line := range strings.SplitAfter(string(directCSV(t, cfg, s.st, clean)), "\n") {
+		if !strings.Contains(line, ",opt,") {
+			want.WriteString(line)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("served CSV is not the clean CSV minus its opt rows:\n--- got\n%s--- want\n%s", got, want.Bytes())
+	}
+}
+
+// TestServeInjectRejectsTrailingInput: admission runs the sweep's
+// -inject parser, which refuses trailing input, even on a server that
+// allows fault injection.
+func TestServeInjectRejectsTrailingInput(t *testing.T) {
+	s, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	js := JobSpec{Benches: []string{"gcc"}, Kind: "instr", Refs: 1000,
+		Sizes: []uint64{1024}, Lines: []uint64{4}, Policies: []string{"dm"}}
+	for _, bad := range []string{"stream-fail=2abc", "stream-fail=2 ", "stream-fail=0", "panic=", "wat"} {
+		js.Inject = bad
+		if _, code := postJob(t, ts.URL, "alice", js); code != http.StatusBadRequest {
+			t.Errorf("inject %q: status %d, want 400", bad, code)
+		}
+	}
+	js.Inject = "stream-fail=2"
+	if _, code := postJob(t, ts.URL, "alice", js); code != http.StatusAccepted {
+		t.Errorf("inject %q: status %d, want 202", js.Inject, code)
 	}
 }
