@@ -7,11 +7,14 @@ import (
 	"testing"
 )
 
-// goldenIDs is the subset of experiments pinned byte-for-byte by the
-// golden file: the single-level studies touched by the policy-registry
-// refactor. The file was generated before the refactor, so a clean diff
-// here proves the spec-built simulators reproduce the hand-built ones.
-var goldenIDs = []string{"sec3", "fig03", "fig11", "fig13", "ablations", "writes"}
+// goldenIDs is the set of experiments pinned byte-for-byte by the golden
+// file, run in this order over one shared Workloads. The first six were
+// pinned before the policy-registry refactor; the rest before figures
+// became views over one memoized cell plan. A clean diff proves each
+// refactor left every figure unchanged.
+var goldenIDs = []string{"sec3", "fig03", "fig11", "fig13", "ablations", "writes",
+	"fig04", "fig05", "fig07", "fig08", "fig09", "fig12", "fig14", "fig15",
+	"assoc", "amat", "static", "sensitivity"}
 
 // TestGoldenSmall pins the rendered output of the golden experiments at
 // a reduced reference count against testdata/golden_small.txt.
