@@ -25,20 +25,38 @@ var (
 	wl     *experiments.Workloads
 )
 
-// workloads builds (once) the shared reduced workload cache.
+// workloads builds (once) the shared reduced workload cache the
+// simulator micro-benchmarks read their stream from.
 func workloads(b *testing.B) *experiments.Workloads {
 	b.Helper()
-	wlOnce.Do(func() {
-		wl = experiments.NewWorkloads(experiments.Config{Refs: benchRefs})
-		// Pre-generate so figure benchmarks time simulation, not
-		// workload synthesis.
-		for _, name := range wl.Names() {
-			wl.Instr(name)
-			wl.Data(name)
-			wl.Mixed(name)
-		}
-	})
+	wlOnce.Do(func() { wl = materialized() })
 	return wl
+}
+
+// materialized returns a fresh reduced workload cache with every stream
+// already synthesized.
+func materialized() *experiments.Workloads {
+	w := experiments.NewWorkloads(experiments.Config{Refs: benchRefs})
+	for _, name := range w.Names() {
+		w.Instr(name)
+		w.Data(name)
+		w.Mixed(name)
+	}
+	return w
+}
+
+// eachFresh calls run b.N times, each on a fresh workload cache built
+// with the timer stopped. A Workloads memoizes every simulated cell, so
+// a shared one would time memo lookups from the second iteration on;
+// a fresh one times the runner's simulations, not stream synthesis.
+func eachFresh(b *testing.B, run func(w *experiments.Workloads)) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := materialized()
+		b.StartTimer()
+		run(w)
+	}
 }
 
 func BenchmarkSec3(b *testing.B) {
@@ -50,48 +68,32 @@ func BenchmarkSec3(b *testing.B) {
 }
 
 func BenchmarkFig03(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig03Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig03(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig03(w) })
 	b.ReportMetric(100*r.AvgDM, "avg-DM-miss%")
 	b.ReportMetric(100*r.AvgDE, "avg-DE-miss%")
 	b.ReportMetric(100*r.AvgOPT, "avg-OPT-miss%")
 }
 
 func BenchmarkFig04(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig04Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig04(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig04(w) })
 	if y, ok := r.DE.At(32); ok {
 		b.ReportMetric(y, "DE-miss%@32K")
 	}
 }
 
 func BenchmarkFig05(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig05Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig05(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig05(w) })
 	x, y := r.DE.PeakY()
 	b.ReportMetric(y, "DE-peak-reduction%")
 	b.ReportMetric(x, "DE-peak-size-KB")
 }
 
 func BenchmarkFig07(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig07Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig07(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig07(w) })
 	// assume-hit L1 miss rate at the x4 point the paper highlights.
 	if y, ok := r.L1[1].At(4); ok {
 		b.ReportMetric(y, "assumehit-L1-miss%@x4")
@@ -99,24 +101,16 @@ func BenchmarkFig07(b *testing.B) {
 }
 
 func BenchmarkFig08(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig08Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig08(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig08(w) })
 	if y, ok := r.L2Global[2].At(4); ok { // assume-miss
 		b.ReportMetric(y, "assumemiss-L2-global%@x4")
 	}
 }
 
 func BenchmarkFig09(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig09Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig09(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig09(w) })
 	base, _ := r.L2Global[0].At(4)
 	am, _ := r.L2Global[2].At(4)
 	if base > 0 {
@@ -125,12 +119,8 @@ func BenchmarkFig09(b *testing.B) {
 }
 
 func BenchmarkFig11(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig11(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig11(w) })
 	if y, ok := r.Reduction.At(4); ok {
 		b.ReportMetric(y, "DE-reduction%@4B")
 	}
@@ -140,101 +130,65 @@ func BenchmarkFig11(b *testing.B) {
 }
 
 func BenchmarkFig12(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig12(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig12(w) })
 	_, y := r.Reduction.PeakY()
 	b.ReportMetric(y, "DE-peak-reduction%@16B")
 }
 
 func BenchmarkFig13(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig13(w) })
 	b.ReportMetric(r.Efficiency(), "DE-vs-capacity-efficiency")
 }
 
 func BenchmarkFig14(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig14Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig14(w) })
 	if y, ok := r.Reduction.At(4); ok {
 		b.ReportMetric(y, "data-DE-reduction%@4K")
 	}
 }
 
 func BenchmarkFig15(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig15(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Fig15(w) })
 	if y, ok := r.Reduction.At(4); ok {
 		b.ReportMetric(y, "mixed-DE-reduction%@4K")
 	}
 }
 
 func BenchmarkAssoc(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.AssocResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Assoc(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Assoc(w) })
 	if y, ok := r.GapClosed().At(16); ok {
 		b.ReportMetric(y, "gap-closed%@16K")
 	}
 }
 
 func BenchmarkAmat(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.AmatResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Amat(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Amat(w) })
 	b.ReportMetric(r.DESpeedupOverDMAt32K, "DE-speedup@32K")
 }
 
 func BenchmarkStatic(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.StaticResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Static(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Static(w) })
 	b.ReportMetric(100*r.StaticSelf, "static-self-miss%")
 	b.ReportMetric(100*r.DE, "DE-miss%")
 }
 
 func BenchmarkWrites(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.WritesResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Writes(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { r = experiments.Writes(w) })
 	if len(r.Rows) > 0 {
 		b.ReportMetric(r.Rows[0].TrafficPerKR, "wb-traffic/KR")
 	}
 }
 
 func BenchmarkAblations(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Ablations(w)
-	}
+	eachFresh(b, func(w *experiments.Workloads) { _ = experiments.Ablations(w) })
 }
 
 // Simulator hot-path micro-benchmarks.

@@ -166,6 +166,10 @@ func run(ctx context.Context) (err error) {
 	}
 
 	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx})
+	if !*jsonMode {
+		fmt.Printf("Cache Replacement with Dynamic Exclusion (McFarling, ISCA 1992) — reproduction\n")
+		fmt.Printf("workload: synthetic SPEC89 suite, %d refs/benchmark/kind\n\n", *refs)
+	}
 	// runExperiment wraps one experiment with telemetry annotations.
 	runExperiment := func(r experiments.Runner) fmt.Stringer {
 		if col != nil {
@@ -174,58 +178,25 @@ func run(ctx context.Context) (err error) {
 		}
 		return r.Run(w)
 	}
-	if *jsonMode {
-		for _, r := range runners {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted: %w", err)
-			}
-			if journal != nil {
-				if rec, ok := journal.Lookup(fp(r.ID)); ok {
-					fmt.Print(rec.Payload)
-					if col != nil {
-						col.CheckpointHit(r.ID, 0)
-					}
-					continue
-				}
-			}
-			var line strings.Builder
-			if err := json.NewEncoder(&line).Encode(map[string]any{
-				"id":     r.ID,
-				"title":  r.Title,
-				"refs":   *refs,
-				"result": runExperiment(r),
-			}); err != nil {
-				return err
-			}
-			// A cancellation mid-experiment can leave a partially computed
-			// result (skipped benchmarks render as zeros): never print or
-			// journal it.
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted: %w", err)
-			}
-			fmt.Print(line.String())
-			if journal != nil {
-				saveStart := time.Now()
-				if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: line.String()}); err != nil {
-					return fmt.Errorf("checkpoint: %w", err)
-				}
-				if col != nil {
-					col.CheckpointWrite(r.ID, time.Since(saveStart))
-				}
-			}
+	// show prints one experiment's output: a JSON line as is, or a text
+	// table under its header (took < 0: replayed from the journal).
+	show := func(r experiments.Runner, out string, took time.Duration) {
+		switch {
+		case *jsonMode:
+			fmt.Print(out)
+		case took < 0:
+			fmt.Printf("== %s: %s  (checkpointed)\n\n%s\n", r.ID, r.Title, out)
+		default:
+			fmt.Printf("== %s: %s  (%.1fs)\n\n%s\n", r.ID, r.Title, took.Seconds(), out)
 		}
-		return nil
 	}
-	fmt.Printf("Cache Replacement with Dynamic Exclusion (McFarling, ISCA 1992) — reproduction\n")
-	fmt.Printf("workload: synthetic SPEC89 suite, %d refs/benchmark/kind\n\n", *refs)
 	for _, r := range runners {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted: %w", err)
 		}
 		if journal != nil {
 			if rec, ok := journal.Lookup(fp(r.ID)); ok {
-				fmt.Printf("== %s: %s  (checkpointed)\n\n", r.ID, r.Title)
-				fmt.Println(rec.Payload)
+				show(r, rec.Payload, -1)
 				if col != nil {
 					col.CheckpointHit(r.ID, 0)
 				}
@@ -233,16 +204,31 @@ func run(ctx context.Context) (err error) {
 			}
 		}
 		start := time.Now()
-		res := fmt.Sprint(runExperiment(r))
-		// Never print or journal a result the cancellation truncated.
+		res := runExperiment(r)
+		var out string
+		if *jsonMode {
+			var line strings.Builder
+			if err := json.NewEncoder(&line).Encode(map[string]any{
+				"id":     r.ID,
+				"title":  r.Title,
+				"refs":   *refs,
+				"result": res,
+			}); err != nil {
+				return err
+			}
+			out = line.String()
+		} else {
+			out = fmt.Sprint(res)
+		}
+		// A cancellation mid-experiment can leave a partially computed
+		// result: never print or journal it.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted: %w", err)
 		}
-		fmt.Printf("== %s: %s  (%.1fs)\n\n", r.ID, r.Title, time.Since(start).Seconds())
-		fmt.Println(res)
+		show(r, out, time.Since(start))
 		if journal != nil {
 			saveStart := time.Now()
-			if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: res}); err != nil {
+			if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: out}); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
 			if col != nil {

@@ -82,9 +82,9 @@ type Result struct {
 	Attempts int
 	// Extras snapshots the simulator's policy-specific counters
 	// (cache.Instrumented) after the winning attempt — sticky defenses,
-	// exclusion flips, victim hits. Nil for failed cells, Direct cells,
-	// and policies without counters. Purely observational: nothing in
-	// Stats or the CSV output derives from it.
+	// exclusion flips, victim hits, a two-level system's L2 traffic. Nil
+	// for failed cells, Direct cells, and policies without counters.
+	// Nothing in Stats or the sweep CSV derives from it.
 	Extras []cache.Counter
 	// Err is the cell's failure (the last attempt's error), or the
 	// context error for cells skipped after cancellation.

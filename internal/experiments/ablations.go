@@ -9,7 +9,6 @@ import (
 	"repro/internal/patterns"
 	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // AblationsResult bundles the design-choice studies DESIGN.md calls out:
@@ -26,42 +25,54 @@ type AblationsResult struct {
 // ablGeom is the conflict-heavy operating point used by the ablations.
 var ablGeom = cache.DM(8<<10, 4)
 
-// Ablations runs all ablation studies.
+// Ablations runs all ablation studies. Each study reads suite averages
+// through avg, so the studies run twice: the first pass only declares
+// every average (and lays out throwaway tables), the declared cells run
+// as one plan, and the second pass lays the tables out from them.
+// Configurations are policy specs, so the tables read as the exact
+// strings a -policies flag would take.
 func Ablations(w *Workloads) AblationsResult {
-	return AblationsResult{
-		Sticky:    ablateSticky(w),
-		Hashed:    ablateHashed(w),
-		ColdStart: ablateColdStart(w),
-		Victim:    ablateVictim(w),
-		LastLine:  ablateLastLine(w),
+	var pts []point
+	rates := map[point]float64{}
+	avg := func(kind, specText string, geom cache.Geometry) float64 {
+		p := points(kind, geom, policy.MustParse(specText))[0]
+		pts = append(pts, p)
+		return rates[p]
 	}
+	ablate := func() AblationsResult {
+		return AblationsResult{
+			Sticky:    ablateSticky(avg),
+			Hashed:    ablateHashed(avg),
+			ColdStart: ablateColdStart(avg),
+			Victim:    ablateVictim(avg),
+			LastLine:  ablateLastLine(avg),
+		}
+	}
+	ablate()
+	for i, rs := range w.results(pts) {
+		rates[pts[i]] = meanMiss(rs)
+	}
+	return ablate()
 }
 
-// suiteAvg runs a fresh simulator per benchmark (concurrently) and
-// averages miss rates. Configurations are policy specs, so the ablation
-// tables read as the exact strings a -policies flag would take.
-func suiteAvg(w *Workloads, kind kindOf, specStr string, geom cache.Geometry) float64 {
-	sp := policy.MustParse(specStr)
-	rates := suiteRates(w, kind, func(refs []trace.Ref) float64 {
-		return specRate(sp, refs, geom)
-	})
-	return metrics.Mean(rates)
-}
+// avgFunc returns the suite-average miss rate of a policy spec over
+// kind streams at geom.
+type avgFunc func(kind, specText string, geom cache.Geometry) float64
 
 // ablateSticky sweeps the multi-sticky extension [McF91a]: deeper sticky
 // counters lock residents against (abc)-style conflicts at the cost of
 // longer training on plain alternation.
-func ablateSticky(w *Workloads) *table.Table {
+func ablateSticky(avg avgFunc) *table.Table {
 	t := table.New("Ablation — sticky depth (S=8KB, b=4B; plus the (abc)^50 pattern)",
 		"config", "suite avg miss", "(abc)^50 miss")
 	three := patterns.ThreeWay(50).Refs(0, ablGeom.Size)
 	for _, k := range []int{1, 2, 4, 8} {
 		specStr := fmt.Sprintf("de:sticky=%d", k)
-		avg := suiteAvg(w, instrKind, specStr, ablGeom)
+		rate := avg("instr", specStr, ablGeom)
 		pat := specRate(policy.MustParse(specStr), three, ablGeom)
-		t.AddRow(fmt.Sprintf("sticky=%d", k), metrics.Pct(avg, 3), metrics.Pct(pat, 1))
+		t.AddRow(fmt.Sprintf("sticky=%d", k), metrics.Pct(rate, 3), metrics.Pct(pat, 1))
 	}
-	dm := suiteAvg(w, instrKind, "dm", ablGeom)
+	dm := avg("instr", "dm", ablGeom)
 	t.AddRow("direct-mapped", metrics.Pct(dm, 3), "100.0%")
 	t.AddNote("paper §4: extra sticky bits fix (abc)^N but give mixed results overall")
 	return t
@@ -69,28 +80,28 @@ func ablateSticky(w *Workloads) *table.Table {
 
 // ablateHashed sweeps the hashed hit-last table size; the paper finds
 // four bits per L1 line suffice.
-func ablateHashed(w *Workloads) *table.Table {
+func ablateHashed(avg avgFunc) *table.Table {
 	t := table.New("Ablation — hashed hit-last bits per cache line (S=8KB, b=4B)",
 		"store", "suite avg miss")
 	for _, bitsPerLine := range []int{1, 2, 4, 8, 16} {
-		avg := suiteAvg(w, instrKind, fmt.Sprintf("de:store=hashed*%d", bitsPerLine), ablGeom)
-		t.AddRow(fmt.Sprintf("hashed %d bits/line", bitsPerLine), metrics.Pct(avg, 3))
+		rate := avg("instr", fmt.Sprintf("de:store=hashed*%d", bitsPerLine), ablGeom)
+		t.AddRow(fmt.Sprintf("hashed %d bits/line", bitsPerLine), metrics.Pct(rate, 3))
 	}
-	ideal := suiteAvg(w, instrKind, "de", ablGeom)
+	ideal := avg("instr", "de", ablGeom)
 	t.AddRow("ideal table", metrics.Pct(ideal, 3))
 	return t
 }
 
 // ablateColdStart compares the two initial values of unknown hit-last
 // bits (§5's assume-hit vs assume-miss, applied to the ideal table).
-func ablateColdStart(w *Workloads) *table.Table {
+func ablateColdStart(avg avgFunc) *table.Table {
 	t := table.New("Ablation — cold-start default of the hit-last table (b=4B)",
 		"cache size", "assume-miss", "assume-hit", "direct-mapped")
 	for _, size := range []uint64{8 << 10, 32 << 10} {
 		geom := cache.DM(size, 4)
-		miss := suiteAvg(w, instrKind, "de:cold=miss", geom)
-		hit := suiteAvg(w, instrKind, "de", geom)
-		dm := suiteAvg(w, instrKind, "dm", geom)
+		miss := avg("instr", "de:cold=miss", geom)
+		hit := avg("instr", "de", geom)
+		dm := avg("instr", "dm", geom)
 		t.AddRow(kbLabel(float64(size)/1024), metrics.Pct(miss, 3), metrics.Pct(hit, 3), metrics.Pct(dm, 3))
 	}
 	t.AddNote("assume-miss can double first-touch misses of fresh loops (the paper's nasa7/tomcatv effect)")
@@ -100,17 +111,14 @@ func ablateColdStart(w *Workloads) *table.Table {
 // ablateVictim reproduces the related-work comparison (§2): a victim
 // cache fixes small conflicting sets (data-like) while dynamic exclusion
 // is most effective on instruction streams with many conflicting lines.
-func ablateVictim(w *Workloads) *table.Table {
+func ablateVictim(avg avgFunc) *table.Table {
 	t := table.New("Ablation — victim cache [Jou90] vs dynamic exclusion (S=8KB, b=4B)",
 		"stream", "direct-mapped", "victim(4)", "victim(8)", "dynamic excl")
-	for _, kind := range []struct {
-		name string
-		get  kindOf
-	}{{"instructions", instrKind}, {"data", dataKind}} {
-		dm := suiteAvg(w, kind.get, "dm", ablGeom)
-		v4 := suiteAvg(w, kind.get, "victim", ablGeom)
-		v8 := suiteAvg(w, kind.get, "victim:entries=8", ablGeom)
-		de := suiteAvg(w, kind.get, "de", ablGeom)
+	for _, kind := range []struct{ name, kind string }{{"instructions", "instr"}, {"data", "data"}} {
+		dm := avg(kind.kind, "dm", ablGeom)
+		v4 := avg(kind.kind, "victim", ablGeom)
+		v8 := avg(kind.kind, "victim:entries=8", ablGeom)
+		de := avg(kind.kind, "de", ablGeom)
 		t.AddRow(kind.name, metrics.Pct(dm, 3), metrics.Pct(v4, 3), metrics.Pct(v8, 3), metrics.Pct(de, 3))
 	}
 	return t
@@ -119,16 +127,16 @@ func ablateVictim(w *Workloads) *table.Table {
 // ablateLastLine isolates the §6 line-buffer alternatives at a 16-byte
 // line size: no buffer, the last-line register (options 1/2), and the
 // stream buffer (option 3).
-func ablateLastLine(w *Workloads) *table.Table {
+func ablateLastLine(avg avgFunc) *table.Table {
 	geom := cache.DM(32<<10, 16)
 	t := table.New("Ablation — §6 line-buffer alternatives at b=16B (S=32KB)",
 		"config", "suite avg miss")
 	// At 16-byte lines the bare "de" spec auto-enables the buffer, so the
 	// no-buffer arm must say nolastline explicitly.
-	with := suiteAvg(w, instrKind, "de:lastline", geom)
-	without := suiteAvg(w, instrKind, "de:nolastline", geom)
-	streamed := suiteAvg(w, instrKind, "de-stream", geom)
-	dm := suiteAvg(w, instrKind, "dm", geom)
+	with := avg("instr", "de:lastline", geom)
+	without := avg("instr", "de:nolastline", geom)
+	streamed := avg("instr", "de-stream", geom)
+	dm := avg("instr", "dm", geom)
 	t.AddRow("DE without buffer", metrics.Pct(without, 3))
 	t.AddRow("DE + last-line register", metrics.Pct(with, 3))
 	t.AddRow("DE + stream buffer (depth 4)", metrics.Pct(streamed, 3))

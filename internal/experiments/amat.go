@@ -22,7 +22,8 @@ type AmatResult struct {
 	DESpeedupOverLRU2At32K float64
 }
 
-// Amat computes AMAT curves from the Assoc miss-rate sweep.
+// Amat computes AMAT curves from the Assoc miss-rate sweep: a view of
+// Assoc's cells.
 func Amat(w *Workloads) AmatResult {
 	miss := Assoc(w)
 	m := timing.Default()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // AssocResult is the extra motivation study (§1 of the paper):
@@ -20,28 +19,22 @@ type AssocResult struct {
 }
 
 // Assoc runs the associativity comparison over the standard size axis at
-// 4-byte lines.
+// 4-byte lines. Its dm and de cells are Figure 4's.
 func Assoc(w *Workloads) AssocResult {
-	lru2, lru4 := policy.MustParse("lru:ways=2"), policy.MustParse("lru:ways=4")
+	pols := []policy.Spec{trio(false)[0], trio(false)[1], policy.MustParse("lru:ways=2"), policy.MustParse("lru:ways=4")}
 	var res AssocResult
 	res.DM.Name, res.DE.Name = "direct-mapped", "dynamic exclusion"
 	res.LRU2.Name, res.LRU4.Name = "2-way LRU", "4-way LRU"
+	series := []*metrics.Series{&res.DM, &res.DE, &res.LRU2, &res.LRU4}
+	var pts []point
 	for _, size := range standardSizes() {
-		n := len(w.Names())
-		dms, des := make([]float64, n), make([]float64, n)
-		l2s, l4s := make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-			geom := cache.DM(size, 4)
-			dms[i] = dmRate(refs, geom)
-			des[i] = deRate(refs, geom, false)
-			l2s[i] = specRate(lru2, refs, geom)
-			l4s[i] = specRate(lru4, refs, geom)
-		})
-		x := float64(size) / 1024
-		res.DM.Points = append(res.DM.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		res.DE.Points = append(res.DE.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		res.LRU2.Points = append(res.LRU2.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(l2s)})
-		res.LRU4.Points = append(res.LRU4.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(l4s)})
+		pts = append(pts, points("instr", cache.DM(size, 4), pols...)...)
+	}
+	rs := w.results(pts)
+	for si, size := range standardSizes() {
+		for p, s := range series {
+			s.Points = append(s.Points, metrics.Point{X: float64(size) / 1024, Y: 100 * meanMiss(rs[len(pols)*si+p])})
+		}
 	}
 	return res
 }

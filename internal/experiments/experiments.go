@@ -9,15 +9,15 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/hierarchy"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -58,13 +58,6 @@ func (c Config) refs() int {
 	return c.Refs
 }
 
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
 func (c Config) ctx() context.Context {
 	if c.Ctx == nil {
 		return context.Background()
@@ -72,17 +65,20 @@ func (c Config) ctx() context.Context {
 	return c.Ctx
 }
 
-// Workloads lazily collects and caches the suite's reference streams so
-// that figures sharing a stream do not regenerate it. It is goroutine-
-// safe: engine workers materialize streams concurrently on first use, and
-// each stream is generated exactly once (per-stream sync.Once, with the
-// entry map guarded by a mutex).
+// Workloads lazily collects and caches the suite's reference streams,
+// and memoizes the result of every cell a runner declares, so no stream
+// is generated and no cell simulated twice (DESIGN.md §3). It is
+// goroutine-safe: engine workers materialize streams concurrently, each
+// exactly once, and runner requests take turns on the memo.
 type Workloads struct {
-	cfg   Config
-	suite []spec.Benchmark
+	cfg     Config
+	suite   []spec.Benchmark
+	streams map[streamKey]func() []trace.Ref // fixed at construction
 
-	mu      sync.Mutex
-	streams map[streamKey]*streamEntry
+	// mu is held for a whole request (results), engine run included, so
+	// a Config.Collector must not call back into the Workloads.
+	mu   sync.Mutex
+	memo map[cell]engine.Result
 }
 
 // streamKey identifies one cached stream.
@@ -91,31 +87,49 @@ type streamKey struct {
 	name string // benchmark name
 }
 
-// streamEntry materializes one stream exactly once, without holding the
-// Workloads mutex during generation (so independent streams generate in
-// parallel while callers of the same stream block only on its Once).
-type streamEntry struct {
-	once sync.Once
-	refs []trace.Ref
+// point is one setting a runner reads across the suite: a policy at one
+// geometry over one stream kind, or, when ratio is nonzero, the
+// two-level system of Figures 7–9 with that L2:L1 size ratio.
+type point struct {
+	kind       string // "instr", "data", or "mixed"
+	size, line uint64
+	policy     string // canonical policy.Spec text; "" for a hierarchy point
+	strategy   hierarchy.Strategy
+	ratio      int
 }
+
+// cell is one point over one benchmark's stream: the memo's key.
+type cell struct {
+	point
+	bench string
+}
+
+// MetricMemoCells counts the cells experiment runners declare, by
+// outcome: "hit" (served by a Workloads memo, or declared twice in one
+// request) or "simulated" (run to completion).
+const MetricMemoCells = "dynex_experiments_memo_cells_total"
+
+var memoCells = obs.Default.NewCounterVec(MetricMemoCells,
+	"Experiment cells declared, by outcome: served from the result memo (hit) or simulated.", []string{"outcome"}, 2)
 
 // NewWorkloads returns an empty cache over the standard suite (or a
 // seed-shifted variant when cfg.SeedOffset is nonzero).
 func NewWorkloads(cfg Config) *Workloads {
-	var suite []spec.Benchmark
+	w := &Workloads{cfg: cfg, streams: map[streamKey]func() []trace.Ref{}, memo: map[cell]engine.Result{}}
 	if cfg.SeedOffset == 0 {
-		suite = spec.Suite()
+		w.suite = spec.Suite()
 	} else {
 		for _, p := range spec.SuiteParams() {
 			p.Seed += cfg.SeedOffset
-			suite = append(suite, spec.MustBuild(p))
+			w.suite = append(w.suite, spec.MustBuild(p))
 		}
 	}
-	return &Workloads{
-		cfg:     cfg,
-		suite:   suite,
-		streams: map[streamKey]*streamEntry{},
+	for _, b := range w.suite {
+		w.streams[streamKey{"instr", b.Name}] = sync.OnceValue(func() []trace.Ref { return b.Instr(cfg.refs()) })
+		w.streams[streamKey{"data", b.Name}] = sync.OnceValue(func() []trace.Ref { return b.Data(cfg.refs()) })
+		w.streams[streamKey{"mixed", b.Name}] = sync.OnceValue(func() []trace.Ref { return b.Mixed(cfg.refs()) })
 	}
+	return w
 }
 
 // Suite returns the benchmarks.
@@ -133,67 +147,172 @@ func (w *Workloads) Names() []string {
 	return out
 }
 
-func (w *Workloads) find(name string) spec.Benchmark {
-	for _, b := range w.suite {
-		if b.Name == name {
-			return b
-		}
+// refs returns the cached stream of the given kind for a benchmark,
+// generating it on first use.
+func (w *Workloads) refs(kind, name string) []trace.Ref {
+	gen, ok := w.streams[streamKey{kind, name}]
+	if !ok {
+		panic(fmt.Sprintf("experiments: unknown benchmark %q", name))
 	}
-	panic(fmt.Sprintf("experiments: unknown benchmark %q", name))
-}
-
-// stream returns the cached stream for key, generating it (exactly once,
-// even under concurrent callers) with gen on first use.
-func (w *Workloads) stream(key streamKey, gen func() []trace.Ref) []trace.Ref {
-	w.mu.Lock()
-	e := w.streams[key]
-	if e == nil {
-		e = &streamEntry{}
-		w.streams[key] = e
-	}
-	w.mu.Unlock()
-	e.once.Do(func() { e.refs = gen() })
-	return e.refs
+	return gen()
 }
 
 // Instr returns (and caches) the benchmark's instruction stream.
-func (w *Workloads) Instr(name string) []trace.Ref {
-	return w.stream(streamKey{"instr", name}, func() []trace.Ref {
-		return w.find(name).Instr(w.cfg.refs())
-	})
-}
+func (w *Workloads) Instr(name string) []trace.Ref { return w.refs("instr", name) }
 
 // Data returns (and caches) the benchmark's data stream.
-func (w *Workloads) Data(name string) []trace.Ref {
-	return w.stream(streamKey{"data", name}, func() []trace.Ref {
-		return w.find(name).Data(w.cfg.refs())
-	})
-}
+func (w *Workloads) Data(name string) []trace.Ref { return w.refs("data", name) }
 
 // Mixed returns (and caches) the benchmark's combined stream.
-func (w *Workloads) Mixed(name string) []trace.Ref {
-	return w.stream(streamKey{"mixed", name}, func() []trace.Ref {
-		return w.find(name).Mixed(w.cfg.refs())
-	})
-}
+func (w *Workloads) Mixed(name string) []trace.Ref { return w.refs("mixed", name) }
 
-// Release drops all cached streams (the per-figure drivers in bench mode
-// use it to bound memory). Concurrent stream readers started before the
-// call keep their slices; later lookups regenerate.
-func (w *Workloads) Release() {
+// results declares a runner's cells — every point over every benchmark
+// — and returns their results: out[i][b] is point i over benchmark b, in
+// suite order. The cells the memo lacks run first, as one plan.
+func (w *Workloads) results(pts []point) [][]engine.Result {
 	w.mu.Lock()
-	w.streams = map[streamKey]*streamEntry{}
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	names := w.Names()
+	var missing []cell
+	declared := map[cell]bool{}
+	// List the cells diagonally (benchmark b starts at point b), so the
+	// workers that start together synthesize different streams and one
+	// policy's columns (opt's hold the most memory) do not all run at
+	// once.
+	for r := range pts {
+		for b, name := range names {
+			c := cell{pts[(b+r)%len(pts)], name}
+			if _, ok := w.memo[c]; !ok && !declared[c] {
+				missing = append(missing, c)
+			}
+			declared[c] = true
+		}
+	}
+	if len(missing) > 0 {
+		w.simulate(missing)
+	}
+	memoCells.WithLabelValues("hit").Add(uint64(len(pts)*len(names) - len(missing)))
+	out := make([][]engine.Result, len(pts))
+	for i, p := range pts {
+		for _, name := range names {
+			out[i] = append(out[i], w.memo[cell{p, name}])
+		}
+	}
+	return out
 }
 
-// The three simulated policies of the single-level figures. "Dynamic
-// exclusion" throughout the single-level experiments means the idealized
-// configuration of Figures 3–5: an unbounded hit-last table with assume-
-// hit cold start (§5 shows assume-hit is the best realizable default).
+// simulate runs cells as one grid plan and memoizes each one that
+// finishes. Cells over one stream share a plan source, so Partition
+// still forms the size columns among them; hierarchy cells stay out of
+// columns. A failed or cancelled cell is never memoized, so a later
+// request re-runs it instead of reading zeros; the first one panics
+// with an error wrapping its cause (the CLI recovers a wrapped
+// context.Canceled into a clean exit).
+func (w *Workloads) simulate(cells []cell) {
+	plan := grid.Plan{
+		Cells:    make([]engine.Cell, len(cells)),
+		Coords:   make([]grid.Coord, len(cells)),
+		Isolated: make([]bool, len(cells)),
+	}
+	sources := map[streamKey]int{}
+	for i, c := range cells {
+		key := streamKey{c.kind, c.bench}
+		if _, ok := sources[key]; !ok {
+			sources[key] = len(sources)
+		}
+		plan.Cells[i] = w.engineCell(c)
+		plan.Coords[i] = grid.Coord{Source: sources[key], Size: c.size, Line: c.line, Policy: c.policy}
+		plan.Isolated[i] = c.ratio != 0
+	}
+	before := len(w.memo)
+	run := plan.Resume(nil)
+	err := run.Execute(w.cfg.ctx(), grid.RunOptions{Engine: engine.Options{
+		Workers:   w.cfg.Workers,
+		Collector: w.cfg.Collector,
+	}})
+	var failed error
+	for i, r := range run.Results {
+		if r.Err == nil && r.Attempts == 0 {
+			r.Err = err // the engine rejected the plan before running it
+		}
+		if r.Err == nil {
+			w.memo[cells[i]] = r
+		} else if failed == nil {
+			failed = fmt.Errorf("experiments: %s: %w", r.Label, r.Err)
+		}
+	}
+	memoCells.WithLabelValues("simulated").Add(uint64(len(w.memo) - before))
+	if failed != nil {
+		panic(failed)
+	}
+}
+
+// engineCell builds a cell's simulation: the point's policy at its
+// geometry, or a two-level hierarchy.System — a plain Policy cell whose
+// Stats are the L1's and whose Extras carry the L2 accesses and misses.
+func (w *Workloads) engineCell(c cell) engine.Cell {
+	var ec engine.Cell
+	if c.ratio != 0 {
+		cfg := hierarchy.Config{
+			L1:       HierL1,
+			L2:       cache.DM(HierL1.Size*uint64(c.ratio), HierL1.LineSize),
+			Strategy: c.strategy,
+			// §5: the hashed table is sized so its bits match the swept
+			// L2 capacity ratio; the paper concludes four bits per L1
+			// line suffice.
+			HashedBitsPerLine: c.ratio,
+		}
+		ec.Label = fmt.Sprintf("%s/%s/l2x%d/%s", c.kind, c.bench, c.ratio, c.strategy)
+		ec.Policy = func(cache.Geometry) (cache.Simulator, error) { return hierarchy.New(cfg) }
+	} else {
+		ec = policy.MustParse(c.policy).Cell()
+		ec.Label = fmt.Sprintf("%s/%s/%d/%d/%s", c.kind, c.bench, c.size, c.line, c.policy)
+		ec.Geometry = cache.DM(c.size, c.line)
+	}
+	ec.Stream = func() ([]trace.Ref, error) { return w.refs(c.kind, c.bench), nil }
+	return ec
+}
+
+// points declares specs over kind streams at geom, in spec order.
+func points(kind string, geom cache.Geometry, specs ...policy.Spec) []point {
+	out := make([]point, len(specs))
+	for i, sp := range specs {
+		out[i] = point{kind: kind, size: geom.Size, line: geom.LineSize, policy: sp.String()}
+	}
+	return out
+}
+
+// trio is the single-level figures' three policies: direct-mapped,
+// dynamic exclusion, and the optimal direct-mapped cache with bypass,
+// with the §6 last-line buffer forced on or off. "Dynamic exclusion"
+// throughout the single-level experiments means the idealized
+// configuration of Figures 3–5: an unbounded hit-last table with
+// assume-hit cold start (§5 shows assume-hit is the best realizable
+// default).
+func trio(lastLine bool) []policy.Spec {
+	return []policy.Spec{
+		policy.MustParse("dm"),
+		policy.MustParse("de").WithLastLine(lastLine),
+		policy.MustParse("opt").WithLastLine(lastLine),
+	}
+}
+
+// missRates returns each result's miss rate (a fraction).
+func missRates(rs []engine.Result) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Stats.MissRate()
+	}
+	return out
+}
+
+// meanMiss is the suite-average miss rate of one point's results.
+func meanMiss(rs []engine.Result) float64 { return metrics.Mean(missRates(rs)) }
 
 // specRate builds the spec's simulator for geom and returns its
-// full-stream miss rate. Experiments panic on build errors: every spec
-// here is a literal, so a failure is a programming error.
+// full-stream miss rate over a stream outside the suite (the §3
+// patterns). Experiments panic on build errors: every spec here is a
+// literal, so a failure is a programming error.
 func specRate(sp policy.Spec, refs []trace.Ref, geom cache.Geometry) float64 {
 	sim, err := sp.Build(geom)
 	if err != nil {
@@ -206,125 +325,25 @@ func specRate(sp policy.Spec, refs []trace.Ref, geom cache.Geometry) float64 {
 	return m.Stats.MissRate()
 }
 
-// dmRate runs a conventional direct-mapped cache.
-func dmRate(refs []trace.Ref, geom cache.Geometry) float64 {
-	return specRate(policy.MustParse("dm"), refs, geom)
-}
-
-// deRate runs dynamic exclusion (ideal table, assume-hit default).
-func deRate(refs []trace.Ref, geom cache.Geometry, lastLine bool) float64 {
-	return specRate(policy.MustParse("de").WithLastLine(lastLine), refs, geom)
-}
-
-// optRate runs the optimal direct-mapped cache with bypass.
-func optRate(refs []trace.Ref, geom cache.Geometry, lastLine bool) float64 {
-	return specRate(policy.MustParse("opt").WithLastLine(lastLine), refs, geom)
-}
-
-// kindOf selects a stream from the workload cache.
-type kindOf func(w *Workloads, name string) []trace.Ref
-
-func instrKind(w *Workloads, name string) []trace.Ref { return w.Instr(name) }
-func dataKind(w *Workloads, name string) []trace.Ref  { return w.Data(name) }
-func mixedKind(w *Workloads, name string) []trace.Ref { return w.Mixed(name) }
-
-// forEachBenchmark runs f for every benchmark across the engine's bounded
-// worker pool (simulations over different benchmarks are independent).
-// Streams materialize lazily inside the workers — the workload cache is
-// goroutine-safe — so generation itself is parallel. f receives the suite
-// index so callers write into pre-sized slices.
-func forEachBenchmark(w *Workloads, kind kindOf, f func(i int, refs []trace.Ref)) {
-	names := w.Names()
-	engine.ForEach(w.cfg.ctx(), len(names), w.cfg.workers(), func(i int) {
-		col := w.cfg.Collector
-		if col == nil {
-			f(i, kind(w, names[i]))
-			return
-		}
-		// ForEach bodies bypass the engine's cell bookkeeping, so report
-		// the per-benchmark unit of work to the collector here: one
-		// synthetic cell per benchmark, its stream length as the ref
-		// count (the body may drive several simulators over it).
-		refs := kind(w, names[i])
-		col.CellStarted(engine.CellStart{Index: i, Label: names[i]})
-		start := time.Now()
-		f(i, refs)
-		wall := time.Since(start)
-		col.CellAttempted(engine.CellAttempt{Index: i, Label: names[i], Attempt: 1,
-			Wall: wall, Outcome: engine.OutcomeOK})
-		col.CellFinished(engine.CellFinish{Index: i, Label: names[i], Wall: wall,
-			Attempts: 1, Refs: uint64(len(refs)), Outcome: engine.OutcomeOK})
-	})
-}
-
-// suiteRates runs one rate function per benchmark concurrently and
-// returns the per-benchmark results in suite order.
-func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) []float64 {
-	out := make([]float64, len(w.Names()))
-	forEachBenchmark(w, kind, func(i int, refs []trace.Ref) {
-		out[i] = rate(refs)
-	})
-	return out
-}
-
 // sweepAverages computes suite-average miss-rate curves for the three
 // policies over the given cache sizes at one line size. The paper's
-// Figures 4, 11, 12, 14, and 15 are all instances of this sweep. The
-// whole benchmark × size × policy grid is one grid.Plan and one grid
-// Run, so cells from different sizes execute concurrently; the engine's
-// deterministic result order makes the aggregation independent of
-// scheduling. The plan's Partition decides which (benchmark, policy)
-// size columns run as one column unit — all three here: dm and de on
+// Figures 4, 5, 12, 14, and 15 are all instances of this sweep. Its
+// (benchmark, policy) size columns run as column units — dm and de on
 // single-pass multisim kernels, opt on a whole-stream column that
 // computes the benchmark's next uses once for every size — and the
 // figure numbers are identical either way.
-func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
+func sweepAverages(w *Workloads, kind string, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
 	dm.Name, de.Name, op.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
-	names := w.Names()
-	sources := make([]grid.Source, len(names))
-	for i, name := range names {
-		sources[i] = grid.Source{Name: name, Stream: func() ([]trace.Ref, error) { return kind(w, name), nil }}
+	var pts []point
+	for _, size := range sizes {
+		pts = append(pts, points(kind, cache.DM(size, lineSize), trio(lastLine)...)...)
 	}
-	pols := []string{
-		"dm",
-		policy.MustParse("de").WithLastLine(lastLine).String(),
-		policy.MustParse("opt").WithLastLine(lastLine).String(),
-	}
-	// Kind and Refs only feed checkpoint fingerprints and CSV rows,
-	// which a figure never writes.
-	plan, err := grid.Spec{Sources: sources, Sizes: sizes, Lines: []uint64{lineSize}, Policies: pols}.Build()
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	run := plan.Resume(nil)
-	if err := run.Execute(w.cfg.ctx(), grid.RunOptions{Engine: engine.Options{
-		Workers:   w.cfg.workers(),
-		Collector: w.cfg.Collector,
-	}}); err != nil {
-		// An error here is the caller's cancellation; panic with an error
-		// value wrapping it so the CLI's recover can errors.Is it.
-		panic(fmt.Errorf("experiments: %w", err))
-	}
-
-	// Cells are laid out benchmark-major, then size, then policy (the
-	// grid order, with a single line size).
-	n := len(names)
+	res := w.results(pts)
 	for si, size := range sizes {
-		dms, des, ops := make([]float64, n), make([]float64, n), make([]float64, n)
-		for bi := 0; bi < n; bi++ {
-			base := (bi*len(sizes) + si) * len(pols)
-			for p, rates := range [][]float64{dms, des, ops} {
-				r := run.Results[base+p]
-				if r.Err != nil {
-					panic(fmt.Errorf("experiments: %s: %w", r.Label, r.Err))
-				}
-				rates[bi] = r.Stats.MissRate()
-			}
-		}
 		x := float64(size) / 1024
-		dm.Points = append(dm.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		de.Points = append(de.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		op.Points = append(op.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(ops)})
+		dm.Points = append(dm.Points, metrics.Point{X: x, Y: 100 * meanMiss(res[3*si])})
+		de.Points = append(de.Points, metrics.Point{X: x, Y: 100 * meanMiss(res[3*si+1])})
+		op.Points = append(op.Points, metrics.Point{X: x, Y: 100 * meanMiss(res[3*si+2])})
 	}
 	return dm, de, op
 }

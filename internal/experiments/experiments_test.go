@@ -67,11 +67,6 @@ func TestWorkloadsCaching(t *testing.T) {
 	if len(a) != testRefs {
 		t.Errorf("stream length %d", len(a))
 	}
-	w.Release()
-	c := w.Instr("eqntott")
-	if len(c) != len(a) {
-		t.Error("release broke regeneration")
-	}
 	if len(w.Names()) != 10 {
 		t.Errorf("Names = %v", w.Names())
 	}
@@ -87,7 +82,7 @@ func TestWorkloadsConcurrent(t *testing.T) {
 	}
 	w := NewWorkloads(Config{Refs: 20_000})
 	names := w.Names()
-	kinds := []kindOf{instrKind, dataKind, mixedKind}
+	kinds := []func(string) []trace.Ref{w.Instr, w.Data, w.Mixed}
 	type got struct{ first *trace.Ref }
 	results := make([]got, len(names)*len(kinds)*4)
 	var wg sync.WaitGroup
@@ -97,7 +92,7 @@ func TestWorkloadsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			kind := kinds[(g/len(names))%len(kinds)]
-			refs := kind(w, names[g%len(names)])
+			refs := kind(names[g%len(names)])
 			results[g] = got{first: &refs[0]}
 		}()
 	}

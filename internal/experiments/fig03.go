@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // Fig03Geom is the paper's Figure 3 configuration: a 32KB instruction
@@ -30,27 +29,14 @@ type Fig03Row struct {
 // Fig03 reproduces Figure 3: instruction cache performance per benchmark
 // for a normal direct-mapped cache, dynamic exclusion, and an optimal
 // direct-mapped cache.
+// Its cells are Figure 4's 32KB points.
 func Fig03(w *Workloads) Fig03Result {
-	names := w.Names()
-	rows := make([]Fig03Row, len(names))
-	forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-		rows[i] = Fig03Row{
-			Name: names[i],
-			DM:   dmRate(refs, Fig03Geom),
-			DE:   deRate(refs, Fig03Geom, false),
-			OP:   optRate(refs, Fig03Geom, false),
-		}
-	})
-	res := Fig03Result{Rows: rows}
-	var dms, des, ops []float64
-	for _, row := range rows {
-		dms = append(dms, row.DM)
-		des = append(des, row.DE)
-		ops = append(ops, row.OP)
+	rs := w.results(points("instr", Fig03Geom, trio(false)...))
+	dms, des, ops := missRates(rs[0]), missRates(rs[1]), missRates(rs[2])
+	res := Fig03Result{AvgDM: metrics.Mean(dms), AvgDE: metrics.Mean(des), AvgOPT: metrics.Mean(ops)}
+	for i, name := range w.Names() {
+		res.Rows = append(res.Rows, Fig03Row{Name: name, DM: dms[i], DE: des[i], OP: ops[i]})
 	}
-	res.AvgDM = metrics.Mean(dms)
-	res.AvgDE = metrics.Mean(des)
-	res.AvgOPT = metrics.Mean(ops)
 	return res
 }
 

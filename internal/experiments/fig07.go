@@ -5,10 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/hierarchy"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // The two-level experiments of §5 use the paper's configuration: a 32KB
@@ -32,48 +33,53 @@ type HierResult struct {
 	OptL1 float64
 }
 
-// hierSweep runs every strategy over every ratio once; Figures 7, 8, and
-// 9 are views of this sweep.
+// hierSweep declares every strategy at every ratio — one hierarchy cell
+// per benchmark — plus the flat optimal L1 reference (Figure 3's opt
+// cells). Figures 7, 8, and 9 are views of these cells, so whichever
+// runs first simulates them and the others read the memo.
 func hierSweep(w *Workloads) HierResult {
 	res := HierResult{
 		Strategies: []hierarchy.Strategy{
 			hierarchy.Baseline, hierarchy.AssumeHit, hierarchy.AssumeMiss, hierarchy.Hashed,
 		},
 	}
+	var pts []point
 	for _, st := range res.Strategies {
+		for _, ratio := range HierRatios {
+			pts = append(pts, point{kind: "instr", strategy: st, ratio: ratio})
+		}
+	}
+	pts = append(pts, points("instr", HierL1, policy.MustParse("opt").WithLastLine(false))...)
+	rs := w.results(pts)
+	for s, st := range res.Strategies {
 		l1 := metrics.Series{Name: st.String()}
 		l2 := metrics.Series{Name: st.String()}
-		for _, ratio := range HierRatios {
-			l2geom := cache.DM(HierL1.Size*uint64(ratio), HierL1.LineSize)
-			n := len(w.Names())
-			l1rates, l2rates := make([]float64, n), make([]float64, n)
-			forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-				sys := hierarchy.Must(hierarchy.Config{
-					L1:       HierL1,
-					L2:       l2geom,
-					Strategy: st,
-					// §5: the hashed table is sized so its bits match the
-					// swept L2 capacity ratio; the paper concludes four
-					// bits per L1 line suffice.
-					HashedBitsPerLine: ratio,
-				})
-				for _, ref := range refs {
-					sys.Access(ref.Addr)
-				}
-				l1rates[i] = sys.L1Stats().MissRate()
-				l2rates[i] = sys.GlobalL2MissRate()
-			})
-			l1.Points = append(l1.Points, metrics.Point{X: float64(ratio), Y: 100 * metrics.Mean(l1rates)})
+		for r, ratio := range HierRatios {
+			sys := rs[s*len(HierRatios)+r]
+			l2rates := make([]float64, len(sys))
+			for b, c := range sys {
+				l2rates[b] = globalL2(c)
+			}
+			l1.Points = append(l1.Points, metrics.Point{X: float64(ratio), Y: 100 * meanMiss(sys)})
 			l2.Points = append(l2.Points, metrics.Point{X: float64(ratio), Y: 100 * metrics.Mean(l2rates)})
 		}
 		res.L1 = append(res.L1, l1)
 		res.L2Global = append(res.L2Global, l2)
 	}
-	opts := suiteRates(w, instrKind, func(refs []trace.Ref) float64 {
-		return optRate(refs, HierL1, false)
-	})
-	res.OptL1 = 100 * metrics.Mean(opts)
+	res.OptL1 = 100 * meanMiss(rs[len(rs)-1])
 	return res
+}
+
+// globalL2 is a hierarchy cell's L2 misses per CPU reference — the
+// rate Figure 8 plots (hierarchy.System.GlobalL2MissRate), from the
+// cell's L1 accesses and its l2_misses extra.
+func globalL2(r engine.Result) float64 {
+	for _, c := range r.Extras {
+		if c.Name == "l2_misses" && r.Stats.Accesses > 0 {
+			return float64(c.Value) / float64(r.Stats.Accesses)
+		}
+	}
+	return 0
 }
 
 // Fig07Result is Figure 7: L1 miss rate vs relative L2 size.

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // Fig11Sizes is the line-size axis of Figure 11.
@@ -30,19 +28,16 @@ type Fig11Result struct {
 func Fig11(w *Workloads) Fig11Result {
 	var res Fig11Result
 	res.DM.Name, res.DE.Name, res.OPT.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
+	var pts []point
 	for _, line := range Fig11Sizes {
-		geom := cache.DM(Fig11CacheSize, line)
-		n := len(w.Names())
-		dms, des, ops := make([]float64, n), make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-			dms[i] = dmRate(refs, geom)
-			des[i] = deRate(refs, geom, true)
-			ops[i] = optRate(refs, geom, true)
-		})
+		pts = append(pts, points("instr", cache.DM(Fig11CacheSize, line), trio(true)...)...)
+	}
+	rs := w.results(pts)
+	for li, line := range Fig11Sizes {
 		x := float64(line)
-		res.DM.Points = append(res.DM.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		res.DE.Points = append(res.DE.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		res.OPT.Points = append(res.OPT.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(ops)})
+		res.DM.Points = append(res.DM.Points, metrics.Point{X: x, Y: 100 * meanMiss(rs[3*li])})
+		res.DE.Points = append(res.DE.Points, metrics.Point{X: x, Y: 100 * meanMiss(rs[3*li+1])})
+		res.OPT.Points = append(res.OPT.Points, metrics.Point{X: x, Y: 100 * meanMiss(rs[3*li+2])})
 	}
 	res.Reduction = metrics.ReductionSeries("DE reduction", res.DM, res.DE)
 	return res
@@ -50,15 +45,19 @@ func Fig11(w *Workloads) Fig11Result {
 
 // String renders the line-size sweep.
 func (r Fig11Result) String() string {
-	var b strings.Builder
-	t := table.New("Figure 11 — I-cache miss rate vs line size (S=32KB, last-line buffer)",
-		"line size", "direct-mapped", "dynamic excl", "optimal DM", "DE reduction")
-	for i, p := range r.DM.Points {
-		t.AddRow(fmt.Sprintf("%gB", p.X),
-			pctf(p.Y), pctf(r.DE.Points[i].Y), pctf(r.OPT.Points[i].Y),
-			pctf(r.Reduction.Points[i].Y))
-	}
+	t := reductionTable("Figure 11 — I-cache miss rate vs line size (S=32KB, last-line buffer)",
+		"line size", func(x float64) string { return fmt.Sprintf("%gB", x) }, r.DM, r.DE, r.OPT, r.Reduction)
 	t.AddNote("paper: the %% improvement declines with line size (internal fragmentation adds conflicts)")
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
+}
+
+// reductionTable lays out a sweep's three miss-rate curves and the DE
+// reduction, one row per x value; xName and xLabel name and format the
+// swept axis.
+func reductionTable(title, xName string, xLabel func(float64) string, dm, de, op, red metrics.Series) *table.Table {
+	t := table.New(title, xName, "direct-mapped", "dynamic excl", "optimal DM", "DE reduction")
+	for i, p := range dm.Points {
+		t.AddRow(xLabel(p.X), pctf(p.Y), pctf(de.Points[i].Y), pctf(op.Points[i].Y), pctf(red.Points[i].Y))
+	}
+	return t
 }

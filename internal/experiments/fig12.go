@@ -17,7 +17,7 @@ type Fig12Result struct {
 // Fig12 reproduces Figure 12: dynamic exclusion performance for a range
 // of cache sizes at b = 16B (with the last-line buffer).
 func Fig12(w *Workloads) Fig12Result {
-	dm, de, op := sweepAverages(w, instrKind, standardSizes(), 16, true)
+	dm, de, op := sweepAverages(w, "instr", standardSizes(), 16, true)
 	return Fig12Result{
 		DM: dm, DE: de, OPT: op,
 		Reduction: metrics.ReductionSeries("DE reduction", dm, de),
@@ -27,13 +27,8 @@ func Fig12(w *Workloads) Fig12Result {
 // String renders the sweep.
 func (r Fig12Result) String() string {
 	var b strings.Builder
-	t := table.New("Figure 12 — I-cache miss rate vs cache size (b=16B, last-line buffer)",
-		"cache size", "direct-mapped", "dynamic excl", "optimal DM", "DE reduction")
-	for i, p := range r.DM.Points {
-		t.AddRow(kbLabel(p.X),
-			pctf(p.Y), pctf(r.DE.Points[i].Y), pctf(r.OPT.Points[i].Y),
-			pctf(r.Reduction.Points[i].Y))
-	}
+	t := reductionTable("Figure 12 — I-cache miss rate vs cache size (b=16B, last-line buffer)",
+		"cache size", kbLabel, r.DM, r.DE, r.OPT, r.Reduction)
 	x, y := r.Reduction.PeakY()
 	t.AddNote("DE improvement peaks at %.1f%% at %gKB (paper, b=16B: 33%% at 32KB)", y, x)
 	b.WriteString(t.String())

@@ -31,19 +31,14 @@ var fig13Base = cache.DM(8<<10, 16)
 
 // Fig13 reproduces the Figure 13 efficiency table.
 func Fig13(w *Workloads) Fig13Result {
-	big := cache.DM(16<<10, 16)
-	deSpec := policy.MustParse("de:store=hashed*4,lastline")
-	var base, de, dbl []float64
-	for _, name := range w.Names() {
-		refs := w.Instr(name)
-		base = append(base, dmRate(refs, fig13Base))
-		dbl = append(dbl, dmRate(refs, big))
-		de = append(de, specRate(deSpec, refs, fig13Base))
-	}
+	dm := policy.MustParse("dm")
+	pts := points("instr", fig13Base, dm, policy.MustParse("de:store=hashed*4,lastline"))
+	pts = append(pts, points("instr", cache.DM(16<<10, 16), dm)...) // both dm cells are Figure 12's
+	rs := w.results(pts)
 	r := Fig13Result{
-		BaseDM: metrics.Mean(base),
-		DE:     metrics.Mean(de),
-		BigDM:  metrics.Mean(dbl),
+		BaseDM: meanMiss(rs[0]),
+		DE:     meanMiss(rs[1]),
+		BigDM:  meanMiss(rs[2]),
 	}
 	r.DESizePct = deOverheadPct(fig13Base)
 	r.BigSizePct = 100

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"strings"
-
-	"repro/internal/metrics"
-	"repro/internal/table"
-)
+import "repro/internal/metrics"
 
 // Fig14Result holds the data-cache sweep (§7).
 type Fig14Result struct {
@@ -16,7 +11,7 @@ type Fig14Result struct {
 // Fig14 reproduces Figure 14: dynamic exclusion applied to the data
 // references of the benchmarks, versus cache size (b = 4B).
 func Fig14(w *Workloads) Fig14Result {
-	dm, de, op := sweepAverages(w, dataKind, standardSizes(), 4, false)
+	dm, de, op := sweepAverages(w, "data", standardSizes(), 4, false)
 	return Fig14Result{
 		DM: dm, DE: de, OPT: op,
 		Reduction: metrics.ReductionSeries("DE reduction", dm, de),
@@ -25,18 +20,11 @@ func Fig14(w *Workloads) Fig14Result {
 
 // String renders the sweep.
 func (r Fig14Result) String() string {
-	var b strings.Builder
-	t := table.New("Figure 14 — data-cache miss rate vs cache size (b=4B)",
-		"cache size", "direct-mapped", "dynamic excl", "optimal DM", "DE reduction")
-	for i, p := range r.DM.Points {
-		t.AddRow(kbLabel(p.X),
-			pctf(p.Y), pctf(r.DE.Points[i].Y), pctf(r.OPT.Points[i].Y),
-			pctf(r.Reduction.Points[i].Y))
-	}
+	t := reductionTable("Figure 14 — data-cache miss rate vs cache size (b=4B)",
+		"cache size", kbLabel, r.DM, r.DE, r.OPT, r.Reduction)
 	t.AddNote("paper: a small improvement at small sizes, little or none at large sizes —")
 	t.AddNote("data reference patterns differ and direct-mapped is already closer to optimal")
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
 }
 
 // Fig15Result holds the combined instruction+data cache sweep (§7).
@@ -48,7 +36,7 @@ type Fig15Result struct {
 // Fig15 reproduces Figure 15: dynamic exclusion on a combined I+D cache,
 // versus cache size (b = 4B).
 func Fig15(w *Workloads) Fig15Result {
-	dm, de, op := sweepAverages(w, mixedKind, standardSizes(), 4, false)
+	dm, de, op := sweepAverages(w, "mixed", standardSizes(), 4, false)
 	return Fig15Result{
 		DM: dm, DE: de, OPT: op,
 		Reduction: metrics.ReductionSeries("DE reduction", dm, de),
@@ -57,16 +45,9 @@ func Fig15(w *Workloads) Fig15Result {
 
 // String renders the sweep.
 func (r Fig15Result) String() string {
-	var b strings.Builder
-	t := table.New("Figure 15 — combined I+D cache miss rate vs cache size (b=4B)",
-		"cache size", "direct-mapped", "dynamic excl", "optimal DM", "DE reduction")
-	for i, p := range r.DM.Points {
-		t.AddRow(kbLabel(p.X),
-			pctf(p.Y), pctf(r.DE.Points[i].Y), pctf(r.OPT.Points[i].Y),
-			pctf(r.Reduction.Points[i].Y))
-	}
+	t := reductionTable("Figure 15 — combined I+D cache miss rate vs cache size (b=4B)",
+		"cache size", kbLabel, r.DM, r.DE, r.OPT, r.Reduction)
 	t.AddNote("paper: improvement near the instruction-cache level at small sizes (instruction")
 	t.AddNote("references dominate) and smaller at large sizes (data references dominate)")
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
 }

@@ -40,7 +40,7 @@ func Sec3() Sec3Result {
 		{patterns.WithinLoop(10), patterns.WithinLoopDM(10), patterns.WithinLoopOPT(10)},
 		{patterns.ThreeWay(10), patterns.ThreeWayDM(10), patterns.ThreeWayOPT(10)},
 	}
-	deSpec := policy.MustParse("de:cold=miss")
+	dm, deSpec, opt := policy.MustParse("dm"), policy.MustParse("de:cold=miss"), policy.MustParse("opt:nolastline")
 	var res Sec3Result
 	for _, c := range cases {
 		refs := c.spec.Refs(0, size)
@@ -48,9 +48,9 @@ func Sec3() Sec3Result {
 			Pattern:    c.spec.Name,
 			AnalyticDM: c.analyticDM,
 			AnalyticOP: c.analyticOP,
-			SimDM:      dmRate(refs, geom),
+			SimDM:      specRate(dm, refs, geom),
 			SimDE:      specRate(deSpec, refs, geom),
-			SimOP:      optRate(refs, geom, false),
+			SimOP:      specRate(opt, refs, geom),
 		})
 	}
 	return res

@@ -38,13 +38,9 @@ func Sensitivity(w *Workloads) SensitivityResult {
 			cfg.SeedOffset = off
 			ws = NewWorkloads(cfg)
 		}
-		f5 := Fig05(ws)
-		curve := f5.DE
+		curve := Fig05(ws).DE
 		curve.Name = fmt.Sprintf("seed+%d", off)
 		res.Curves = append(res.Curves, curve)
-		if off != 0 {
-			ws.Release()
-		}
 	}
 	res.Min = metrics.Series{Name: "min"}
 	res.Mean = metrics.Series{Name: "mean"}

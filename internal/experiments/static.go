@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/static"
 	"repro/internal/table"
@@ -24,28 +26,31 @@ type StaticResult struct {
 	AvgExcludedSelf, AvgBlocksTot float64
 }
 
-// Static runs the comparison at the conflict-heavy 8KB point.
+// Static runs the comparison at the conflict-heavy 8KB point. Its dm,
+// de and opt numbers are Figure 4's 8KB cells; static exclusion trains
+// on whole streams, so it is a body of its own over the engine's pool.
 func Static(w *Workloads) StaticResult {
 	res := StaticResult{Geom: ablGeom}
-	n := len(w.Names())
-	dms, selfs, stales := make([]float64, n), make([]float64, n), make([]float64, n)
-	des, opts := make([]float64, n), make([]float64, n)
+	rs := w.results(points("instr", res.Geom, trio(false)...))
+	names := w.Names()
+	n := len(names)
+	selfs, stales := make([]float64, n), make([]float64, n)
 	excl, blocks := make([]float64, n), make([]float64, n)
-	forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-		dms[i] = dmRate(refs, res.Geom)
-		des[i] = deRate(refs, res.Geom, false)
-		opts[i] = optRate(refs, res.Geom, false)
+	if err := engine.ForEach(w.cfg.ctx(), n, w.cfg.Workers, func(i int) {
+		refs := w.Instr(names[i])
 		// Self profile: trained and evaluated on the full stream.
 		selfs[i], excl[i], blocks[i] = staticRate(refs, refs, res.Geom)
 		// Stale profile: trained on the first half, evaluated on the
 		// second (different phases of the program).
 		stales[i], _, _ = staticRate(refs[:len(refs)/2], refs[len(refs)/2:], res.Geom)
-	})
-	res.DM = metrics.Mean(dms)
+	}); err != nil {
+		panic(fmt.Errorf("experiments: static: %w", err))
+	}
+	res.DM = meanMiss(rs[0])
 	res.StaticSelf = metrics.Mean(selfs)
 	res.StaticStale = metrics.Mean(stales)
-	res.DE = metrics.Mean(des)
-	res.OPT = metrics.Mean(opts)
+	res.DE = meanMiss(rs[1])
+	res.OPT = meanMiss(rs[2])
 	res.AvgExcludedSelf = metrics.Mean(excl)
 	res.AvgBlocksTot = metrics.Mean(blocks)
 	return res

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 	"repro/internal/writepolicy"
 )
 
@@ -63,15 +64,19 @@ func Writes(w *Workloads) WritesResult {
 		}},
 	}
 
+	names := w.Names()
 	for _, cfg := range configs {
-		n := len(w.Names())
+		n := len(names)
 		rates, traffic := make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, dataKind, func(i int, refs []trace.Ref) {
+		if err := engine.ForEach(w.cfg.ctx(), n, w.cfg.Workers, func(i int) {
+			refs := w.Data(names[i])
 			c := cfg.build()
 			c.RunRefs(refs)
 			rates[i] = c.Stats().MissRate()
 			traffic[i] = 1000 * float64(c.Writes().TrafficWords(lineWords)) / float64(len(refs))
-		})
+		}); err != nil {
+			panic(fmt.Errorf("experiments: writes: %w", err))
+		}
 		res.Rows = append(res.Rows, WritesRow{
 			Config:       cfg.name,
 			MissRate:     metrics.Mean(rates),

@@ -104,15 +104,30 @@ func (s Spec) NumCells() int {
 // Plan is a validated grid: engine cells in deterministic grid order
 // (source-major, then size, line, policy — the serial loop nest
 // dynex-sweep has always used) and the matching checkpoint fingerprints.
+// A plan assembled from a bare cell list has no Spec or FPs: it runs
+// (Resume(nil)) but is neither journaled nor written as CSV.
 type Plan struct {
 	Spec  Spec
 	Cells []engine.Cell
+	// Coords[i] locates Cells[i]; Partition forms columns from it.
+	Coords []Coord
 	// FPs[i] is Cells[i]'s checkpoint fingerprint.
 	FPs []string
 	// Isolated[i] keeps Cells[i] out of every column (nil: none), for
 	// cells whose own simulator a caller rewrapped (fault injection): a
 	// column kernel never constructs it.
 	Isolated []bool
+}
+
+// Coord is a plan cell's place in (source × size × line × policy)
+// space. Cells sharing Source, Line and Policy are one size column.
+type Coord struct {
+	// Source identifies the cell's stream: cells with equal Source must
+	// read the same references.
+	Source     int
+	Size, Line uint64
+	// Policy is the cell's policy spec text.
+	Policy string
 }
 
 // Build validates the whole grid — every policy spec parses, every
@@ -138,11 +153,12 @@ func (s Spec) Build() (Plan, error) {
 		polSpecs[i] = sp
 	}
 	p := Plan{
-		Spec:  s,
-		Cells: make([]engine.Cell, 0, s.NumCells()),
-		FPs:   make([]string, 0, s.NumCells()),
+		Spec:   s,
+		Cells:  make([]engine.Cell, 0, s.NumCells()),
+		Coords: make([]Coord, 0, s.NumCells()),
+		FPs:    make([]string, 0, s.NumCells()),
 	}
-	for _, src := range s.Sources {
+	for si, src := range s.Sources {
 		for _, size := range s.Sizes {
 			for _, line := range s.Lines {
 				geom := cache.DM(size, line)
@@ -155,6 +171,7 @@ func (s Spec) Build() (Plan, error) {
 					cell.Label = fmt.Sprintf("%s/%d/%d/%s", src.Name, size, line, pol)
 					cell.Stream = src.Stream
 					p.Cells = append(p.Cells, cell)
+					p.Coords = append(p.Coords, Coord{Source: si, Size: size, Line: line, Policy: pol})
 					p.FPs = append(p.FPs, checkpoint.Fingerprint(
 						"dynex-sweep/v1", src.Name, s.Kind, strconv.Itoa(s.Refs),
 						strconv.FormatUint(size, 10), strconv.FormatUint(line, 10), pol))

@@ -188,3 +188,59 @@ func TestPartitionRunGroupedMatchesCSV(t *testing.T) {
 		t.Error("column-partitioned CSV differs from cell-by-cell CSV")
 	}
 }
+
+// TestPartitionCellList groups a plan assembled from a cell list — no
+// Spec, not a full rectangle — by its coordinates alone: cells sharing
+// (source, line, policy) form a column whatever their plan positions,
+// an isolated cell stays out, and a lone coordinate stays per-cell.
+// The columns' results match the cells run one by one.
+func TestPartitionCellList(t *testing.T) {
+	full := partitionPlan(t, []uint64{4096, 8192, 16384}, []uint64{4}, []string{"dm", "de"})
+	var plan Plan
+	add := func(label string, isolated bool) {
+		for i, c := range full.Cells {
+			if c.Label == label {
+				plan.Cells = append(plan.Cells, c)
+				plan.Coords = append(plan.Coords, full.Coords[i])
+				plan.Isolated = append(plan.Isolated, isolated)
+				return
+			}
+		}
+		t.Fatalf("no cell %q", label)
+	}
+	add("alpha/16384/4/dm", false)
+	add("beta/4096/4/dm", false)  // beta's only dm cell: no column
+	add("alpha/4096/4/dm", false) // joins alpha/16384's column
+	add("alpha/8192/4/de", false)
+	add("alpha/4096/4/de", false)
+	add("alpha/8192/4/dm", true) // isolated: stays out of alpha's dm column
+	groups := plan.Partition(allPending(len(plan.Cells)), nil)
+	var got []string
+	for _, g := range groups {
+		var labels []string
+		for _, pos := range g.Indices {
+			labels = append(labels, plan.Cells[pos].Label)
+		}
+		got = append(got, strings.Join(labels, "+"))
+	}
+	want := []string{"alpha/16384/4/dm+alpha/4096/4/dm", "alpha/8192/4/de+alpha/4096/4/de"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("groups %q, want %q", got, want)
+	}
+	perCell, err := engine.Run(context.Background(), plan.Cells, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := engine.RunGrouped(context.Background(), plan.Cells, groups, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range perCell {
+		if perCell[i].Stats != grouped[i].Stats {
+			t.Errorf("%s: column %+v, per-cell %+v", plan.Cells[i].Label, grouped[i].Stats, perCell[i].Stats)
+		}
+	}
+	if g := (Plan{Cells: plan.Cells}).Partition(allPending(len(plan.Cells)), nil); len(g) != 0 {
+		t.Errorf("a plan without coordinates formed %d groups", len(g))
+	}
+}

@@ -8,12 +8,6 @@ import (
 	"repro/internal/hierarchy"
 )
 
-// l1View adapts a two-level system to the Simulator interface (the L1
-// view is what the CPU sees).
-type l1View struct{ *hierarchy.System }
-
-func (v l1View) Stats() cache.Stats { return v.L1Stats() }
-
 func TestConformance(t *testing.T) {
 	for _, st := range []hierarchy.Strategy{
 		hierarchy.Baseline, hierarchy.AssumeHit, hierarchy.AssumeMiss,
@@ -23,11 +17,11 @@ func TestConformance(t *testing.T) {
 		conformance.Check(t, "hierarchy-"+st.String(),
 			conformance.Options{EventualHit: true},
 			func() cache.Simulator {
-				return l1View{hierarchy.Must(hierarchy.Config{
+				return hierarchy.Must(hierarchy.Config{
 					L1:       cache.DM(16<<10, 16),
 					L2:       cache.DM(64<<10, 16),
 					Strategy: st,
-				})}
+				})
 			})
 	}
 }

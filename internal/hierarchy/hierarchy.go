@@ -259,6 +259,20 @@ func (s *System) L1Stats() cache.Stats {
 	return s.l1de.Stats()
 }
 
+// Stats returns the L1 counters — what the CPU sees — so a System is a
+// cache.Simulator the engine can drive as one ordinary cell.
+func (s *System) Stats() cache.Stats { return s.L1Stats() }
+
+// Extras reports the L2's accesses and misses (cache.Instrumented): an
+// engine cell's Result carries them, and l2_misses over the L1's
+// accesses is GlobalL2MissRate.
+func (s *System) Extras() []cache.Counter {
+	return []cache.Counter{
+		{Name: "l2_accesses", Value: s.l2.stats.Accesses},
+		{Name: "l2_misses", Value: s.l2.stats.Misses},
+	}
+}
+
 // L2Stats returns the second level's counters. Accesses are L1 misses;
 // the local miss rate is Misses/Accesses.
 func (s *System) L2Stats() cache.Stats { return s.l2.stats }

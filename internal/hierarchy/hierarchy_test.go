@@ -112,6 +112,19 @@ func TestL2AccessesEqualL1Misses(t *testing.T) {
 		if sys.Refs() != uint64(len(refs)) {
 			t.Errorf("%v: Refs() = %d, want %d", st, sys.Refs(), len(refs))
 		}
+		// The cache.Instrumented view an engine cell reports: L1 Stats,
+		// L2 accesses and misses as Extras, and the global L2 rate
+		// recoverable from them.
+		var sim cache.Instrumented = sys
+		ex := sim.Extras()
+		if sim.Stats() != sys.L1Stats() || len(ex) != 2 ||
+			ex[0] != (cache.Counter{Name: "l2_accesses", Value: sys.L2Stats().Accesses}) ||
+			ex[1] != (cache.Counter{Name: "l2_misses", Value: sys.L2Stats().Misses}) {
+			t.Errorf("%v: Stats %v, Extras %v", st, sim.Stats(), ex)
+		}
+		if got := float64(ex[1].Value) / float64(sim.Stats().Accesses); got != sys.GlobalL2MissRate() {
+			t.Errorf("%v: l2_misses/accesses %v != GlobalL2MissRate %v", st, got, sys.GlobalL2MissRate())
+		}
 	}
 }
 
