@@ -16,13 +16,14 @@
 // without re-simulating them — the resumed CSV is byte-identical to an
 // uninterrupted run's.
 //
-// Geometry-heavy sweeps ride the single-pass fast path: every
-// power-of-two size column sharing one (benchmark, line, policy) triple
-// is simulated by a single internal/multisim column kernel in one pass
-// over the stream, while ineligible cells fall back to cell-by-cell
-// simulation (DESIGN.md §15). -scalar, the semantic reference, forms no
-// columns and drives every simulator one Access at a time; the CSV and
-// the checkpoint journal records are byte-identical either way.
+// Every cell rides its policy's column kernel: each power-of-two size
+// column sharing one (benchmark, line, policy) triple — a lone cell
+// being a one-member column — is simulated by a single internal/multisim
+// kernel in one pass over the stream, while ineligible cells run
+// cell-by-cell on their own simulator (DESIGN.md §15). -scalar, the
+// semantic reference, forms no columns and drives every simulator one
+// Access at a time; the CSV and the checkpoint journal records are
+// byte-identical either way.
 //
 // The sweep is instrumented (DESIGN.md §8): -report writes a machine-
 // readable RunReport (throughput, percentile cell latencies, retry/panic/
@@ -92,7 +93,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxFailures = fs.Int("max-failures", 0, "abort the sweep after this many cell failures (0 = finish regardless)")
 		retries     = fs.Int("retries", 0, "re-run transiently failing cells up to this many extra times")
 		cellTimeout = fs.Duration("cell-timeout", 0, "wall-clock budget per cell attempt (0 = none)")
-		scalarOnly  = fs.Bool("scalar", false, "disable the BatchAccess fast path; drive every simulator one Access at a time (CSV must be byte-identical)")
+		scalarOnly  = fs.Bool("scalar", false, "form no column kernels; drive every simulator one Access at a time (CSV must be byte-identical)")
 		inject      = fs.String("inject", "", "fault injection for testing: stream-fail=N or panic=SUBSTR")
 		reportPath  = fs.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile   = fs.String("trace-events", "", "write a structured JSONL event log of the run to this file")

@@ -63,10 +63,11 @@ func TestSweepResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepScalarByteIdentity pins the batch fast path at the CLI
-// surface: -scalar strips BatchAccess from every policy cell, and the
-// resulting CSV must be byte-identical to the batched sweep across every
-// registered policy name — the same check CI's bench-smoke job runs.
+// TestSweepScalarByteIdentity pins the one-member column kernels at the
+// CLI surface: every lone cell of an eligible policy runs as one by
+// default and on its own simulator under -scalar, and the two CSVs must
+// be byte-identical across every registered policy name — the same
+// check CI's registry smoke step runs.
 func TestSweepScalarByteIdentity(t *testing.T) {
 	out, _, err := runSweep(t, "-list-policies")
 	if err != nil {
@@ -75,16 +76,16 @@ func TestSweepScalarByteIdentity(t *testing.T) {
 	policies := strings.Join(strings.Fields(out), ",")
 	args := []string{"-bench", "gcc", "-refs", "30000", "-sizes", "4096", "-lines", "16", "-policies", policies}
 
-	batched, _, err := runSweep(t, args...)
+	columned, _, err := runSweep(t, args...)
 	if err != nil {
-		t.Fatalf("batched run: %v", err)
+		t.Fatalf("default run: %v", err)
 	}
 	scalar, _, err := runSweep(t, append(args, "-scalar")...)
 	if err != nil {
 		t.Fatalf("scalar run: %v", err)
 	}
-	if batched != scalar {
-		t.Errorf("-scalar CSV differs from batched CSV:\n--- batched\n%s--- scalar\n%s", batched, scalar)
+	if columned != scalar {
+		t.Errorf("-scalar CSV differs from default CSV:\n--- default\n%s--- scalar\n%s", columned, scalar)
 	}
 }
 

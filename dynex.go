@@ -150,23 +150,9 @@ func NewSetAssoc(g Geometry, policy cache.Policy, seed int64) (*SetAssoc, error)
 // the valid head of a corrupt trace can still be reported.
 func Run(sim Simulator, r Reader, limit int) (int, error) { return cache.Run(sim, r, limit) }
 
-// RunRefs drives a simulator over an in-memory stream, through the
-// BatchAccess fast path when the simulator provides one.
+// RunRefs drives a simulator over an in-memory stream, one Access per
+// reference.
 func RunRefs(sim Simulator, refs []Ref) { cache.RunRefs(sim, refs) }
-
-// BatchStats is one BatchAccess call's stat delta.
-type BatchStats = cache.BatchStats
-
-// BatchSimulator is a Simulator with a batched fast path, semantically
-// identical to per-reference Access (DESIGN.md §11). Run, RunRefs, and
-// Measure use it automatically; the dm, de, and set-associative
-// simulators implement it.
-type BatchSimulator = cache.BatchSimulator
-
-// ScalarOnly strips a simulator's BatchAccess fast path, forcing
-// one-Access-per-reference driving — for batch/scalar differential
-// checks.
-func ScalarOnly(sim Simulator) Simulator { return cache.ScalarOnly(sim) }
 
 // Dynamic exclusion — the paper's contribution (internal/core).
 

@@ -100,7 +100,7 @@ func Analyzers() []*Analyzer {
 		CtxSleepAnalyzer,
 		ErrFmtAnalyzer,
 		RegistryAnalyzer,
-		BatchStatsAnalyzer,
+		ColumnStatsAnalyzer,
 		ObsMetricsAnalyzer,
 		LockAnalyzer,
 		GoroutineAnalyzer,

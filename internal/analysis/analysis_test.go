@@ -150,16 +150,19 @@ func TestRegistryFixture(t *testing.T) {
 }
 
 // TestBatchStatsFixture pins the batch-stats analyzer: per-reference
-// Stats writes inside a BatchAccess loop — method calls, field
+// Stats writes inside the loops of a //dynexcheck:hot column kernel
+// method — Batch or a fast path it dispatches to; method calls, field
 // increments, whole-value assignments, even on a local delta — are
 // findings, while local-counter accumulation, the single post-loop
-// flush, policy-state writes, and scalar code pass.
+// flush, policy-state writes, scalar code, and hot methods of a type
+// that is not a column kernel pass.
 func TestBatchStatsFixture(t *testing.T) {
 	wantDiags(t, checkFixture(t, "batchstats"), []string{
-		`internal/core/kernel.go:20: [batch-stats] Stats.Record inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:21: [batch-stats] write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:22: [batch-stats] write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:23: [batch-stats] Stats.Record inside a BatchAccess loop: accumulate in locals and flush once per batch`,
+		`internal/core/kernel.go:22: [batch-stats] Stats.Record inside a column kernel loop: accumulate in locals and flush once per batch`,
+		`internal/core/kernel.go:23: [batch-stats] write through cache.Stats inside a column kernel loop: accumulate in locals and flush once per batch`,
+		`internal/core/kernel.go:24: [batch-stats] write through cache.Stats inside a column kernel loop: accumulate in locals and flush once per batch`,
+		`internal/core/kernel.go:25: [batch-stats] Stats.Record inside a column kernel loop: accumulate in locals and flush once per batch`,
+		`internal/core/kernel.go:36: [batch-stats] Stats.Record inside a column kernel loop: accumulate in locals and flush once per batch`,
 	})
 }
 

@@ -5,21 +5,22 @@ import (
 	"go/types"
 )
 
-// BatchStatsAnalyzer enforces the batch-kernel accumulation discipline:
-// inside the loops of a BatchAccess method, counters must accumulate in
-// plain locals and flush into cache.Stats once per batch. A per-reference
-// write through a Stats value — a Stats method call (Record, Add) or an
-// assignment targeting a Stats-typed expression — re-introduces exactly
-// the per-access bookkeeping the fast path exists to hoist, and on some
-// kernels a subtle double-count (the delta is both recorded in place and
-// flushed at the end).
-var BatchStatsAnalyzer = &Analyzer{
+// ColumnStatsAnalyzer enforces the column-kernel accumulation
+// discipline: inside the loops of a //dynexcheck:hot method of a column
+// kernel (a type with Batch and Outcomes methods — Batch itself and the
+// loops it dispatches to, such as a one-member fast path), counters
+// must accumulate in plain locals or per-member fields, never through a
+// cache.Stats value. A per-reference write through a Stats value — a
+// Stats method call (Record, Add) or an assignment targeting a
+// Stats-typed expression — re-introduces exactly the per-access
+// bookkeeping the kernels exist to hoist.
+var ColumnStatsAnalyzer = &Analyzer{
 	Name: "batch-stats",
-	Doc:  "ban per-reference cache.Stats writes inside BatchAccess kernel loops; accumulate in locals, flush once per batch",
-	Run:  runBatchStats,
+	Doc:  "ban per-reference cache.Stats writes inside the loops of //dynexcheck:hot column kernel methods; accumulate in locals, flush once per batch",
+	Run:  runColumnStats,
 }
 
-func runBatchStats(pass *Pass) {
+func runColumnStats(pass *Pass) {
 	statsType := cacheStatsType(pass.Module)
 	if statsType == nil {
 		return
@@ -28,7 +29,7 @@ func runBatchStats(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "BatchAccess" || fd.Body == nil {
+			if !ok || fd.Body == nil || !isHotFunc(fd) || !isColumnMethod(info, fd) {
 				continue
 			}
 			// Collect the loop bodies; a write is per-reference only when it
@@ -60,7 +61,7 @@ func runBatchStats(pass *Pass) {
 						return true
 					}
 					pass.Reportf(x.Pos(),
-						"Stats.%s inside a BatchAccess loop: accumulate in locals and flush once per batch",
+						"Stats.%s inside a column kernel loop: accumulate in locals and flush once per batch",
 						fn.Name())
 				case *ast.AssignStmt:
 					if !inLoop(x) {
@@ -69,7 +70,7 @@ func runBatchStats(pass *Pass) {
 					for _, lhs := range x.Lhs {
 						if e := statsPrefix(info, lhs, statsType); e != nil {
 							pass.Reportf(lhs.Pos(),
-								"write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch")
+								"write through cache.Stats inside a column kernel loop: accumulate in locals and flush once per batch")
 						}
 					}
 				case *ast.IncDecStmt:
@@ -78,13 +79,32 @@ func runBatchStats(pass *Pass) {
 					}
 					if e := statsPrefix(info, x.X, statsType); e != nil {
 						pass.Reportf(x.Pos(),
-							"write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch")
+							"write through cache.Stats inside a column kernel loop: accumulate in locals and flush once per batch")
 					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// isColumnMethod reports whether fd is a method of a column kernel: its
+// receiver's pointer type has both a Batch and an Outcomes method.
+func isColumnMethod(info *types.Info, fd *ast.FuncDecl) bool {
+	fn, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if _, ok := types.Unalias(t).(*types.Pointer); !ok {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	return ms.Lookup(fn.Pkg(), "Batch") != nil && ms.Lookup(fn.Pkg(), "Outcomes") != nil
 }
 
 // cacheStatsType resolves the module's cache.Stats named type (nil when

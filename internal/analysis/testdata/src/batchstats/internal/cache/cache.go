@@ -25,8 +25,3 @@ func (s *Stats) Add(d Stats) {
 	s.Hits += d.Hits
 	s.Misses += d.Misses
 }
-
-// BatchStats mirrors the per-batch delta wrapper.
-type BatchStats struct {
-	Stats Stats
-}

@@ -1,10 +1,14 @@
-package cache
+package cache_test
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/engine"
+	"repro/internal/multisim"
 	"repro/internal/trace"
 )
 
@@ -19,218 +23,208 @@ func batchRefs(seed int64, n int) []trace.Ref {
 	return refs
 }
 
-// raggedBatches drives sim through BatchAccess with chunk sizes that
-// never align with anything, returning the summed deltas.
-func raggedBatches(t *testing.T, sim BatchSimulator, refs []trace.Ref) Stats {
+// raggedBatches drives a one-member column with chunk sizes that never
+// align with anything and returns its one outcome's Stats.
+func raggedBatches(t *testing.T, col engine.Column, refs []trace.Ref) cache.Stats {
 	t.Helper()
 	sizes := []int{1, 3, 17, 256, 1000}
-	var sum Stats
 	for pos, i := 0, 0; pos < len(refs); i++ {
-		c := sizes[i%len(sizes)]
-		if pos+c > len(refs) {
-			c = len(refs) - pos
-		}
-		sum.Add(sim.BatchAccess(refs[pos : pos+c]).Stats)
+		c := min(sizes[i%len(sizes)], len(refs)-pos)
+		col.Batch(refs[pos : pos+c])
 		pos += c
 	}
-	return sum
+	outs := col.Outcomes()
+	if len(outs) != 1 {
+		t.Fatalf("%d outcomes from a one-member column", len(outs))
+	}
+	return outs[0].Stats
 }
 
-// TestDirectMappedBatchMatchesScalar pins the dm kernel against scalar
-// Access: identical cumulative stats, per-batch delta sum, and final
-// line contents.
+// oneMember builds the one-member column kernel a single cell of the
+// policy runs as: direct-mapped at ways 1, LRU or FIFO otherwise.
+func oneMember(t *testing.T, geom cache.Geometry, pol cache.Policy) engine.Column {
+	t.Helper()
+	sizes := []uint64{geom.Size}
+	var (
+		col engine.Column
+		err error
+	)
+	switch {
+	case geom.Ways == 1:
+		col, err = multisim.NewDM(geom.LineSize, sizes)
+	case pol == cache.LRU:
+		col, err = multisim.NewLRU(geom.LineSize, sizes, geom.Ways)
+	default:
+		col, err = multisim.NewFIFO(geom.LineSize, sizes, geom.Ways)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
+// TestDirectMappedBatchMatchesScalar pins the one-member dm column, the
+// fast path of every single dm cell, against scalar Access: identical
+// Stats under ragged chunking.
 func TestDirectMappedBatchMatchesScalar(t *testing.T) {
-	geom := DM(1<<8, 8)
+	geom := cache.DM(1<<8, 8)
 	refs := batchRefs(1, 5000)
 
-	scalar := MustDirectMapped(geom)
-	for _, r := range refs {
-		scalar.Access(r.Addr)
-	}
-
-	batched := MustDirectMapped(geom)
-	sum := raggedBatches(t, batched, refs)
-
-	if scalar.Stats() != batched.Stats() {
-		t.Errorf("stats: scalar %+v != batched %+v", scalar.Stats(), batched.Stats())
-	}
-	if sum != batched.Stats() {
-		t.Errorf("delta sum %+v != cumulative %+v", sum, batched.Stats())
-	}
-	if !reflect.DeepEqual(scalar.tags, batched.tags) || !reflect.DeepEqual(scalar.valid, batched.valid) {
-		t.Error("final line contents diverged between scalar and batched driving")
+	scalar := cache.MustDirectMapped(geom)
+	cache.RunRefs(scalar, refs)
+	if got := raggedBatches(t, oneMember(t, geom, cache.LRU), refs); got != scalar.Stats() {
+		t.Errorf("stats: scalar %+v != one-member column %+v", scalar.Stats(), got)
 	}
 }
 
-// TestBatchAccessEmptyBatch pins that an empty (or nil) batch is a
-// no-op with a zero delta on every kernel.
-func TestBatchAccessEmptyBatch(t *testing.T) {
-	sims := []BatchSimulator{
-		MustDirectMapped(DM(1<<8, 8)),
-		MustSetAssoc(Geometry{Size: 1 << 8, LineSize: 8, Ways: 4}, LRU, 1),
-	}
-	for _, sim := range sims {
-		if d := sim.BatchAccess(nil); d.Stats != (Stats{}) {
-			t.Errorf("%T: nil batch delta = %+v, want zero", sim, d.Stats)
-		}
-		if d := sim.BatchAccess([]trace.Ref{}); d.Stats != (Stats{}) {
-			t.Errorf("%T: empty batch delta = %+v, want zero", sim, d.Stats)
-		}
-		if sim.Stats() != (Stats{}) {
-			t.Errorf("%T: empty batches advanced cumulative stats: %+v", sim, sim.Stats())
+// TestColumnEmptyBatch pins that an empty (or nil) batch is a
+// no-op on every one-member column kernel of this package's policies.
+func TestColumnEmptyBatch(t *testing.T) {
+	for _, c := range []struct {
+		geom cache.Geometry
+		pol  cache.Policy
+	}{
+		{cache.DM(1<<8, 8), cache.LRU},
+		{cache.Geometry{Size: 1 << 8, LineSize: 8, Ways: 4}, cache.LRU},
+		{cache.Geometry{Size: 1 << 8, LineSize: 8, Ways: 4}, cache.FIFO},
+	} {
+		col := oneMember(t, c.geom, c.pol)
+		col.Batch(nil)
+		col.Batch([]trace.Ref{})
+		if outs := col.Outcomes(); len(outs) != 1 || outs[0].Stats != (cache.Stats{}) || outs[0].Extras != nil {
+			t.Errorf("%v %v: empty batches gave %+v, want one zero outcome", c.geom, c.pol, outs)
 		}
 	}
 }
 
-// TestSetAssocBatchEvictionSequence is the eviction-notification pin:
-// for every replacement policy — RandomRepl included, with the same
-// seed — the batched kernel must displace the exact same sequence of
-// blocks through OnEvict as scalar Access, because victim selection
-// shares c.fill between the two paths.
+// TestSetAssocBatchEvictionSequence is the eviction pin: for every
+// replacement policy — RandomRepl included, with the same seed —
+// RunRefs in ragged chunks displaces the exact same sequence of blocks
+// through OnEvict as per-reference Access, and for LRU and FIFO the
+// one-member column kernel counts exactly those evictions.
 func TestSetAssocBatchEvictionSequence(t *testing.T) {
-	geom := Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
+	geom := cache.Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
 	refs := batchRefs(2, 6000)
-	for _, pol := range []Policy{LRU, FIFO, RandomRepl} {
+	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.RandomRepl} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			const seed = 99
-			var scalarEv, batchEv []uint64
+			var scalarEv, chunkEv []uint64
 
-			scalar := MustSetAssoc(geom, pol, seed)
+			scalar := cache.MustSetAssoc(geom, pol, seed)
 			scalar.OnEvict = func(block uint64) { scalarEv = append(scalarEv, block) }
 			for _, r := range refs {
 				scalar.Access(r.Addr)
 			}
 
-			batched := MustSetAssoc(geom, pol, seed)
-			batched.OnEvict = func(block uint64) { batchEv = append(batchEv, block) }
-			sum := raggedBatches(t, batched, refs)
-
-			if scalar.Stats() != batched.Stats() {
-				t.Errorf("stats: scalar %+v != batched %+v", scalar.Stats(), batched.Stats())
+			chunked := cache.MustSetAssoc(geom, pol, seed)
+			chunked.OnEvict = func(block uint64) { chunkEv = append(chunkEv, block) }
+			for pos, c := 0, 1; pos < len(refs); c = c*7 + 3 {
+				n := min(c%1000+1, len(refs)-pos)
+				cache.RunRefs(chunked, refs[pos:pos+n])
+				pos += n
 			}
-			if sum != batched.Stats() {
-				t.Errorf("delta sum %+v != cumulative %+v", sum, batched.Stats())
+
+			if scalar.Stats() != chunked.Stats() {
+				t.Errorf("stats: scalar %+v != chunked %+v", scalar.Stats(), chunked.Stats())
 			}
 			if len(scalarEv) == 0 {
 				t.Fatal("stream produced no evictions; the pin is vacuous")
 			}
-			if !reflect.DeepEqual(scalarEv, batchEv) {
-				t.Errorf("eviction sequences diverged: scalar %d evictions, batch %d", len(scalarEv), len(batchEv))
-				for i := 0; i < len(scalarEv) && i < len(batchEv); i++ {
-					if scalarEv[i] != batchEv[i] {
-						t.Errorf("first divergence at eviction %d: scalar block %#x, batch block %#x", i, scalarEv[i], batchEv[i])
-						break
-					}
-				}
+			if !reflect.DeepEqual(scalarEv, chunkEv) {
+				t.Errorf("eviction sequences diverged: scalar %d evictions, chunked %d", len(scalarEv), len(chunkEv))
 			}
-			if !reflect.DeepEqual(scalar.sets, batched.sets) {
-				t.Error("final set contents (tags/stamps) diverged")
+			if pol == cache.RandomRepl {
+				return // no column kernel: a random cell runs on its simulator
+			}
+			if got := raggedBatches(t, oneMember(t, geom, pol), refs); got != scalar.Stats() ||
+				got.Evictions != uint64(len(scalarEv)) {
+				t.Errorf("one-member column %+v, scalar %+v with %d evictions", got, scalar.Stats(), len(scalarEv))
 			}
 		})
 	}
 }
 
-// TestSetAssocBatchInterleavesWithScalar pins that scalar and batched
-// driving compose mid-stream: the kernel must leave the clock and stamps
-// exactly where scalar Access would.
+// TestSetAssocBatchInterleavesWithScalar pins that a one-member LRU or
+// FIFO column carries its set state and clock across Batch calls: the
+// stream fed in thirds ends exactly where scalar Access does.
 func TestSetAssocBatchInterleavesWithScalar(t *testing.T) {
-	geom := Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
+	geom := cache.Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
 	refs := batchRefs(3, 3000)
-
-	scalar := MustSetAssoc(geom, LRU, 1)
-	for _, r := range refs {
-		scalar.Access(r.Addr)
-	}
-
-	mixed := MustSetAssoc(geom, LRU, 1)
 	third := len(refs) / 3
-	for _, r := range refs[:third] {
-		mixed.Access(r.Addr)
-	}
-	mixed.BatchAccess(refs[third : 2*third])
-	for _, r := range refs[2*third:] {
-		mixed.Access(r.Addr)
-	}
+	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO} {
+		scalar := cache.MustSetAssoc(geom, pol, 1)
+		cache.RunRefs(scalar, refs)
 
-	if scalar.Stats() != mixed.Stats() {
-		t.Errorf("stats: scalar %+v != mixed %+v", scalar.Stats(), mixed.Stats())
-	}
-	if scalar.clock != mixed.clock {
-		t.Errorf("clock: scalar %d != mixed %d", scalar.clock, mixed.clock)
-	}
-	if !reflect.DeepEqual(scalar.sets, mixed.sets) {
-		t.Error("set contents diverged after interleaved driving")
-	}
-}
-
-// TestKernelShifts pins the power-of-two guard behind every flat kernel.
-func TestKernelShifts(t *testing.T) {
-	cases := []struct {
-		lineSize, nsets uint64
-		shift           int
-		mask            uint64
-		ok              bool
-	}{
-		{8, 64, 3, 63, true},
-		{1, 1, 0, 0, true},
-		{16, 1 << 10, 4, 1<<10 - 1, true},
-		{0, 64, 0, 0, false},
-		{8, 0, 0, 0, false},
-		{12, 64, 0, 0, false},
-		{8, 48, 0, 0, false},
-	}
-	for _, c := range cases {
-		shift, mask, ok := kernelShifts(c.lineSize, c.nsets)
-		if shift != c.shift || mask != c.mask || ok != c.ok {
-			t.Errorf("kernelShifts(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
-				c.lineSize, c.nsets, shift, mask, ok, c.shift, c.mask, c.ok)
+		col := oneMember(t, geom, pol)
+		col.Batch(refs[:third])
+		col.Batch(refs[third : 2*third])
+		col.Batch(refs[2*third:])
+		if got := col.Outcomes()[0].Stats; got != scalar.Stats() {
+			t.Errorf("%v: scalar %+v != column fed in thirds %+v", pol, scalar.Stats(), got)
 		}
 	}
 }
 
 // TestScalarOnlyStripsBatchPath pins the differential wrapper: the
-// wrapped simulator loses BatchAccess (so RunRefs drives it scalar) but
-// keeps Extras when the underlying simulator is Instrumented.
+// wrapped simulator exposes nothing beyond the scalar surface (no
+// Contains, say) yet keeps Extras when the underlying simulator is
+// Instrumented, and its stats are the simulator's own.
 func TestScalarOnlyStripsBatchPath(t *testing.T) {
-	sim := MustDirectMapped(DM(1<<8, 8))
-	wrapped := ScalarOnly(sim)
-	if _, ok := wrapped.(BatchSimulator); ok {
-		t.Fatal("ScalarOnly result still exposes BatchAccess")
+	sim := cache.MustSetAssoc(cache.Geometry{Size: 1 << 8, LineSize: 8, Ways: 2}, cache.LRU, 1)
+	wrapped := cache.ScalarOnly(sim)
+	if _, ok := wrapped.(interface{ Contains(uint64) bool }); ok {
+		t.Fatal("ScalarOnly result still exposes Contains")
 	}
 	refs := batchRefs(4, 500)
-	RunRefs(wrapped, refs)
-	direct := MustDirectMapped(DM(1<<8, 8))
-	RunRefs(direct, refs)
+	cache.RunRefs(wrapped, refs)
+	direct := cache.MustSetAssoc(cache.Geometry{Size: 1 << 8, LineSize: 8, Ways: 2}, cache.LRU, 1)
+	cache.RunRefs(direct, refs)
 	if wrapped.Stats() != direct.Stats() {
-		t.Errorf("scalar-only stats %+v != batched stats %+v", wrapped.Stats(), direct.Stats())
+		t.Errorf("scalar-only stats %+v != direct stats %+v", wrapped.Stats(), direct.Stats())
 	}
 
-	in := instrumentedBatchStub{}
-	if _, ok := ScalarOnly(in).(Instrumented); !ok {
+	in := instrumentedStub{}
+	if _, ok := cache.ScalarOnly(in).(cache.Instrumented); !ok {
 		t.Error("ScalarOnly dropped Extras from an Instrumented simulator")
 	}
-	if _, ok := ScalarOnly(in).(BatchSimulator); ok {
-		t.Error("ScalarOnly kept BatchAccess on an Instrumented simulator")
+	if _, ok := cache.ScalarOnly(in).(interface{ Reset() }); ok {
+		t.Error("ScalarOnly kept Reset on an Instrumented simulator")
 	}
 }
 
-// instrumentedBatchStub implements both Instrumented and BatchSimulator,
-// to prove ScalarOnly keeps the former and strips the latter.
-type instrumentedBatchStub struct{}
+// instrumentedStub implements Instrumented plus an extra method, to
+// prove ScalarOnly keeps the former and strips the latter.
+type instrumentedStub struct{}
 
-func (instrumentedBatchStub) Access(uint64) Result               { return Hit }
-func (instrumentedBatchStub) Stats() Stats                       { return Stats{} }
-func (instrumentedBatchStub) Extras() []Counter                  { return []Counter{{Name: "x"}} }
-func (instrumentedBatchStub) BatchAccess([]trace.Ref) BatchStats { return BatchStats{} }
+func (instrumentedStub) Access(uint64) cache.Result { return cache.Hit }
+func (instrumentedStub) Stats() cache.Stats         { return cache.Stats{} }
+func (instrumentedStub) Extras() []cache.Counter    { return []cache.Counter{{Name: "x"}} }
+func (instrumentedStub) Reset()                     {}
 
-// TestRunBatchedHonorsLimitAndErrors pins Run's batched path to the
-// documented contract: the limit caps delivery mid-buffer, and a reader
-// error flushes the buffered prefix so stats cover exactly n accesses.
+// failingReader yields refs and then err.
+type failingReader struct {
+	refs []trace.Ref
+	err  error
+}
+
+func (r *failingReader) Next() (trace.Ref, error) {
+	if len(r.refs) == 0 {
+		return trace.Ref{}, r.err
+	}
+	ref := r.refs[0]
+	r.refs = r.refs[1:]
+	return ref, nil
+}
+
+// TestRunBatchedHonorsLimitAndErrors pins Run to its documented
+// contract: the limit caps delivery, the whole stream is delivered
+// otherwise, and on a reader error the count and the stats cover
+// exactly the references delivered before it.
 func TestRunBatchedHonorsLimitAndErrors(t *testing.T) {
-	refs := batchRefs(5, 3*BatchChunk/2)
-	sim := MustDirectMapped(DM(1<<8, 8))
-	n, err := Run(sim, trace.NewSliceReader(refs), 100)
+	refs := batchRefs(5, 3000)
+	sim := cache.MustDirectMapped(cache.DM(1<<8, 8))
+	n, err := cache.Run(sim, trace.NewSliceReader(refs), 100)
 	if err != nil || n != 100 {
 		t.Fatalf("Run(limit=100) = %d, %v; want 100, nil", n, err)
 	}
@@ -238,20 +232,21 @@ func TestRunBatchedHonorsLimitAndErrors(t *testing.T) {
 		t.Errorf("sim saw %d accesses, want 100", sim.Stats().Accesses)
 	}
 
-	// The whole stream, spanning a chunk boundary.
-	sim2 := MustDirectMapped(DM(1<<8, 8))
-	n, err = Run(sim2, trace.NewSliceReader(refs), 0)
+	sim2 := cache.MustDirectMapped(cache.DM(1<<8, 8))
+	n, err = cache.Run(sim2, trace.NewSliceReader(refs), 0)
 	if err != nil || n != len(refs) {
 		t.Fatalf("Run(all) = %d, %v; want %d, nil", n, err, len(refs))
 	}
-	if got := sim2.Stats().Accesses; got != uint64(len(refs)) {
-		t.Errorf("sim saw %d accesses, want %d", got, len(refs))
+	sim3 := cache.MustDirectMapped(cache.DM(1<<8, 8))
+	cache.RunRefs(sim3, refs)
+	if sim2.Stats() != sim3.Stats() {
+		t.Errorf("Run %+v != RunRefs %+v", sim2.Stats(), sim3.Stats())
 	}
 
-	// Batched and scalar delivery agree on the same reader prefix.
-	sim3 := MustDirectMapped(DM(1<<8, 8))
-	RunRefs(ScalarOnly(sim3), refs)
-	if sim2.Stats() != sim3.Stats() {
-		t.Errorf("batched run %+v != scalar run %+v", sim2.Stats(), sim3.Stats())
+	boom := errors.New("boom")
+	sim4 := cache.MustDirectMapped(cache.DM(1<<8, 8))
+	n, err = cache.Run(sim4, &failingReader{refs: refs[:777], err: boom}, 0)
+	if !errors.Is(err, boom) || n != 777 || sim4.Stats().Accesses != 777 {
+		t.Errorf("Run over a failing reader = %d, %v with %d accesses; want 777, boom, 777", n, err, sim4.Stats().Accesses)
 	}
 }

@@ -6,16 +6,9 @@ import (
 	"repro/internal/trace"
 )
 
-// BatchChunk is the number of references RunRefs hands a BatchAccess
-// kernel per call: large enough that the per-batch bookkeeping vanishes,
-// small enough that a chunk stays cache-resident. Exported so tests can
-// place warmup boundaries exactly on (or inside) a chunk.
-const BatchChunk = 1 << 14
-
 // Run drives sim with every reference from r (at most limit references;
-// limit <= 0 means all) and returns the number of references delivered.
-// Simulators with a BatchAccess fast path are driven in BatchChunk
-// batches; the stats are identical either way (see BatchSimulator).
+// limit <= 0 means all) and returns the number of references delivered,
+// one Access per reference.
 //
 // Partial-count semantics, matching trace.Collect and trace.Drive: on a
 // reader error, the returned n is the number of references that were
@@ -23,9 +16,6 @@ const BatchChunk = 1 << 14
 // n accesses, so a caller can still report the valid prefix of a corrupt
 // trace alongside the error.
 func Run(sim Simulator, r trace.Reader, limit int) (int, error) {
-	if b, ok := sim.(BatchSimulator); ok {
-		return runBatched(b, r, limit)
-	}
 	n := 0
 	for limit <= 0 || n < limit {
 		ref, err := r.Next()
@@ -41,45 +31,11 @@ func Run(sim Simulator, r trace.Reader, limit int) (int, error) {
 	return n, nil
 }
 
-// runBatched is Run's fast path: references are buffered into BatchChunk
-// batches between kernel calls. A reader error flushes the buffered
-// prefix first, preserving Run's partial-count contract.
-func runBatched(sim BatchSimulator, r trace.Reader, limit int) (int, error) {
-	buf := make([]trace.Ref, 0, BatchChunk)
-	n := 0
-	for limit <= 0 || n+len(buf) < limit {
-		ref, err := r.Next()
-		if err != nil {
-			sim.BatchAccess(buf)
-			n += len(buf)
-			if err == io.EOF {
-				err = nil
-			}
-			return n, err
-		}
-		buf = append(buf, ref)
-		if len(buf) == cap(buf) {
-			sim.BatchAccess(buf)
-			n += len(buf)
-			buf = buf[:0]
-		}
-	}
-	sim.BatchAccess(buf)
-	return n + len(buf), nil
-}
-
-// RunRefs drives sim with an in-memory reference slice, through the
-// BatchAccess fast path when sim provides one (BatchChunk references per
-// kernel call) and one scalar Access per reference otherwise.
+// RunRefs drives sim with an in-memory reference slice, one scalar
+// Access per reference. Simulators are the semantic reference; the fast
+// path for a sweep cell is its policy's column kernel (internal/multisim,
+// run by the engine as a one-member column), not this loop.
 func RunRefs(sim Simulator, refs []trace.Ref) {
-	if b, ok := sim.(BatchSimulator); ok {
-		for len(refs) > BatchChunk {
-			b.BatchAccess(refs[:BatchChunk])
-			refs = refs[BatchChunk:]
-		}
-		b.BatchAccess(refs)
-		return
-	}
 	for _, ref := range refs {
 		sim.Access(ref.Addr)
 	}
@@ -91,3 +47,21 @@ func MissRateOver(sim Simulator, refs []trace.Ref) float64 {
 	RunRefs(sim, refs)
 	return sim.Stats().MissRate()
 }
+
+// ScalarOnly returns sim behind a wrapper that exposes exactly the
+// scalar Simulator surface (plus Extras when sim is Instrumented): the
+// reference a differential test compares a kernel against, with every
+// other method of the concrete simulator out of reach.
+func ScalarOnly(sim Simulator) Simulator {
+	if in, ok := sim.(Instrumented); ok {
+		return scalarInstrumented{in}
+	}
+	return scalarSimulator{sim}
+}
+
+// scalarSimulator exposes only Access and Stats: embedding the interface
+// value promotes the interface's methods and nothing else.
+type scalarSimulator struct{ Simulator }
+
+// scalarInstrumented additionally preserves Extras.
+type scalarInstrumented struct{ Instrumented }

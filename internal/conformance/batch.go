@@ -20,16 +20,15 @@ var batchVariants = map[string][]string{
 	"stream":    {"stream:depth=2"},
 }
 
-// CheckBatchRegistry is the batch/scalar differential battery: for every
+// CheckBatchRegistry is the single-cell differential battery: for every
 // registered online policy family (and the option variants above) it
-// asserts that driving a fresh simulator through BatchAccess — with
-// ragged chunk sizes, so warmup and chunk boundaries never align — is
-// bit-identical to scalar Access in cumulative Stats, per-batch deltas,
-// and Extras counters, and that policy.Window measures identically
-// through the batched and the scalar-only path at warmup boundaries
-// landing mid-batch. Families without a kernel are verified to take the
-// scalar fallback with identical results, so registering a new family
-// gets the differential check for free.
+// builds the unit the engine runs one cell of the spec as — a
+// one-member column kernel where policy.Spec.Column makes the spec
+// eligible (grid.Plan.Partition decides the same way), and the cell's
+// own simulator behind engine.Cell.NewColumn where it does not — and
+// asserts that driving it with ragged chunk sizes, an empty batch
+// first, is bit-identical to scalar Access in Stats and Extras.
+// Registering a new family gets the check for free.
 func CheckBatchRegistry(t *testing.T, geom cache.Geometry, opts Options) {
 	t.Helper()
 	if opts.Streams == 0 {
@@ -54,72 +53,43 @@ func CheckBatchRegistry(t *testing.T, geom cache.Geometry, opts Options) {
 // geometry.
 func checkBatchSpec(t *testing.T, sp policy.Spec, geom cache.Geometry, opts Options) {
 	t.Helper()
-	// Long enough that a whole cache.BatchChunk fits with room to place a
-	// warmup boundary inside the final chunk.
-	n := cache.BatchChunk + 3000
-
-	build := func() cache.Simulator {
-		sim, err := sp.Build(geom)
-		if err != nil {
-			t.Fatalf("build %q at %v: %v", sp, geom, err)
-		}
-		return sim
+	// Long enough that the largest ragged chunk fits with room to spare,
+	// so every chunk size crosses state the previous chunk left behind.
+	const n = 1<<14 + 3000
+	cell := sp.Cell()
+	cell.Geometry = geom
+	newUnit, column := sp.Column(geom.LineSize, []uint64{geom.Size})
+	if !column {
+		newUnit = cell.NewColumn
 	}
-
 	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
 		refs := refStream(seed, n)
 
-		scalar := build()
+		scalar, err := sp.Build(geom)
+		if err != nil {
+			t.Fatalf("build %q at %v: %v", sp, geom, err)
+		}
 		for i := range refs {
 			scalar.Access(refs[i].Addr)
 		}
 
-		batched := build()
-		if b, ok := batched.(cache.BatchSimulator); ok {
-			if empty := b.BatchAccess(nil); empty.Stats != (cache.Stats{}) {
-				t.Fatalf("empty batch produced a delta: %+v", empty.Stats)
-			}
-			// Ragged chunks: boundaries never align with anything.
-			sizes := []int{1, 7, 501, 4096, cache.BatchChunk}
-			var sum cache.Stats
-			for pos, i := 0, 0; pos < len(refs); i++ {
-				c := sizes[i%len(sizes)]
-				if pos+c > len(refs) {
-					c = len(refs) - pos
-				}
-				sum.Add(b.BatchAccess(refs[pos : pos+c]).Stats)
-				pos += c
-			}
-			if sum != batched.Stats() {
-				t.Errorf("seed %d: batch deltas sum to %+v, cumulative stats %+v", seed, sum, batched.Stats())
-			}
-		} else {
-			cache.RunRefs(batched, refs) // no kernel: the fallback must still match
-		}
-
-		if scalar.Stats() != batched.Stats() {
-			t.Errorf("seed %d: scalar stats %+v != batched stats %+v", seed, scalar.Stats(), batched.Stats())
-		}
-		diffExtras(t, seed, cache.SnapshotExtras(scalar), cache.SnapshotExtras(batched))
-	}
-
-	// Windowed runs: the warmup snapshot must land identically whether
-	// RunRefs drives batches or single accesses. Boundaries: no warmup,
-	// mid-chunk, exactly one chunk, and inside the final chunk.
-	refs := refStream(1, n)
-	for _, warmup := range []int{0, 1537, cache.BatchChunk, n - 100} {
-		mBatch, err := policy.Window(build(), refs, warmup)
+		unit, err := newUnit()
 		if err != nil {
-			t.Fatalf("warmup %d (batched): %v", warmup, err)
+			t.Fatalf("unit for %q at %v: %v", sp, geom, err)
 		}
-		mScalar, err := policy.Window(cache.ScalarOnly(build()), refs, warmup)
-		if err != nil {
-			t.Fatalf("warmup %d (scalar): %v", warmup, err)
+		unit.Batch(nil)
+		if outs := unit.Outcomes(); len(outs) != 1 || outs[0].Stats != (cache.Stats{}) {
+			t.Fatalf("empty batch produced outcomes %+v", outs)
 		}
-		if mBatch.Stats != mScalar.Stats {
-			t.Errorf("warmup %d: batched window %+v != scalar window %+v", warmup, mBatch.Stats, mScalar.Stats)
+		driveChunks(unit, refs, []int{1, 7, 501, 4096, 1 << 14})
+		outs := unit.Outcomes()
+		if len(outs) != 1 {
+			t.Fatalf("seed %d: %d outcomes for one cell", seed, len(outs))
 		}
-		diffExtras(t, int64(warmup), mScalar.Extras, mBatch.Extras)
+		if outs[0].Stats != scalar.Stats() {
+			t.Errorf("seed %d (column=%v): scalar stats %+v != unit stats %+v", seed, column, scalar.Stats(), outs[0].Stats)
+		}
+		diffExtras(t, seed, cache.SnapshotExtras(scalar), outs[0].Extras)
 	}
 }
 

@@ -25,15 +25,12 @@ var columnVariants = map[string][]string{
 // CheckColumnRegistry is the column-kernel differential battery: for
 // every registered policy family it asks policy.Spec.Column for a
 // column kernel over the size column and either (a) drives the kernel
-// — through ragged chunk sizes, or for an engine.WholeStreamColumn in
-// the one whole-stream call the engine makes — and asserts each
-// member's Stats and Extras are bit-identical to simulating that
-// (size, line, policy) cell on its own, or (b) — for families with no
-// kernel — asserts the spec reports itself column-ineligible, so it
-// falls back to the per-cell path rather than silently computing
-// something else. A whole-stream column driven in ragged chunks must
-// fail (Err, or too few Outcomes) rather than report stats. A family
-// added to internal/policy is therefore either column-verified or
+// through ragged chunk sizes and asserts each member's Stats and Extras
+// are bit-identical to simulating that (size, line, policy) cell on its
+// own, or (b) — for families with no kernel — asserts the spec reports
+// itself column-ineligible, so it falls back to the per-cell path
+// rather than silently computing something else. A family added to
+// internal/policy is therefore either column-verified or
 // fallback-verified with no test changes.
 func CheckColumnRegistry(t *testing.T, line uint64, sizes []uint64, opts Options) {
 	t.Helper()
@@ -94,35 +91,17 @@ func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column,
 			}
 			diffExtras(t, seed, extras, outs[k].Extras)
 		}
-		// Fed in ragged chunks, a whole-stream column must fail loudly.
-		if col, err := newCol(); err == nil {
-			if whole, ok := col.(engine.WholeStreamColumn); ok {
-				driveChunks(col, refs, chunks)
-				if whole.Err() == nil && len(col.Outcomes()) == len(sizes) {
-					t.Errorf("seed %d: whole-stream column reported outcomes after ragged chunks", seed)
-				}
-			}
-		}
 	}
 }
 
-// runColumn builds a column and drives it the way the engine does: an
-// engine.WholeStreamColumn in one Batch call, any other column through
-// the given chunk sizes in turn. It returns the Outcomes, or the
-// constructor's or the whole-stream pass's error.
+// runColumn builds a column, drives it through the given chunk sizes in
+// turn, and returns its Outcomes or the constructor's error.
 func runColumn(newCol func() (engine.Column, error), refs []trace.Ref, chunks []int) ([]engine.ColumnOutcome, error) {
 	col, err := newCol()
 	if err != nil {
 		return nil, err
 	}
-	if whole, ok := col.(engine.WholeStreamColumn); ok {
-		whole.Batch(refs)
-		if err := whole.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		driveChunks(col, refs, chunks)
-	}
+	driveChunks(col, refs, chunks)
 	return col.Outcomes(), nil
 }
 

@@ -51,10 +51,10 @@ func TestRegistryConformance(t *testing.T) {
 	}
 }
 
-// TestBatchDifferential pins the BatchAccess fast path against scalar
-// Access for every registered policy spec: identical Stats, deltas, and
-// Extras under ragged chunking, and identical policy.Window
-// measurements with warmup boundaries landing mid-batch.
+// TestBatchDifferential pins every registered policy spec's single-cell
+// engine unit — a one-member column kernel where the spec is eligible,
+// its own simulator where not — against scalar Access: identical Stats
+// and Extras under ragged chunking.
 func TestBatchDifferential(t *testing.T) {
 	for _, geom := range []cache.Geometry{cache.DM(1<<13, 4), cache.DM(1<<12, 16)} {
 		geom := geom

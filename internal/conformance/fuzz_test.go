@@ -14,10 +14,9 @@ import (
 // every eligible size column on a single-pass kernel with no off
 // switch: for a fuzzed column-eligible registry spec, a power-of-two
 // column of 1–6 members at a fuzzed line size, and a seeded reference
-// stream driven through fuzzed ragged chunks (or, for opt's
-// whole-stream column, in one call), every member's Stats and Extras
-// must equal a per-cell simulator stripped to one scalar Access per
-// reference (cache.ScalarOnly) — for opt, the per-cell Direct path.
+// stream driven through fuzzed ragged chunks, every member's Stats and
+// Extras must equal a per-cell simulator stripped to one scalar Access
+// per reference (cache.ScalarOnly) — for opt, the per-cell Direct path.
 //
 // Inputs: family picks dm/de/lru/fifo/opt; opts packs the family's
 // options (de: sticky depth, hashed store bits, cold start, last-line

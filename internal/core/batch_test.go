@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/multisim"
 	"repro/internal/trace"
 )
 
@@ -32,163 +35,122 @@ func batchRefs(seed int64, n int) []trace.Ref {
 	return refs
 }
 
-// hookEvent is one OnEvict or OnExclude invocation, in order.
-type hookEvent struct {
-	evict   bool
-	block   uint64
-	hitLast bool
+// deVariant is one FSM configuration, built both as the scalar
+// simulator and as the one-member column a single de cell runs as.
+type deVariant struct {
+	name      string
+	line      uint64
+	hashed    bool
+	assumeHit bool
+	lastLine  bool
+	sticky    int
 }
 
-// hookTrace records every hook invocation on c, in sequence.
-func hookTrace(c *Cache, out *[]hookEvent) {
-	c.OnEvict = func(block uint64, hitLast bool) {
-		*out = append(*out, hookEvent{evict: true, block: block, hitLast: hitLast})
-	}
-	c.OnExclude = func(block uint64) {
-		*out = append(*out, hookEvent{block: block})
-	}
-}
+const variantSize = 1 << 10
 
-// TestBatchMatchesScalar is the de-kernel differential: for every store
-// and FSM variant, batched driving must match scalar Access in stats,
-// extras, hook sequence (OnEvict with its written-back hit-last bit,
-// OnExclude, interleaved in order), and final FSM state.
-func TestBatchMatchesScalar(t *testing.T) {
-	mkHashed := func() HitLastStore {
-		s, err := NewHashedStore(64, false)
+func (v deVariant) scalar(t *testing.T) *core.Cache {
+	t.Helper()
+	geom := cache.DM(variantSize, v.line)
+	var store core.HitLastStore = core.NewTableStore(v.assumeHit)
+	if v.hashed {
+		s, err := core.NewHashedStore(int(geom.Lines()), v.assumeHit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		store = s
 	}
-	variants := []struct {
-		name string
-		cfg  func() Config
-	}{
-		{"table-lastline", func() Config {
-			return Config{Geometry: cache.DM(1<<10, 16), Store: NewTableStore(false), UseLastLine: true}
-		}},
-		{"table-nolastline", func() Config {
-			return Config{Geometry: cache.DM(1<<10, 16), Store: NewTableStore(false)}
-		}},
-		{"table-assumehit", func() Config {
-			return Config{Geometry: cache.DM(1<<10, 4), Store: NewTableStore(true), UseLastLine: true}
-		}},
-		{"hashed", func() Config {
-			return Config{Geometry: cache.DM(1<<10, 16), Store: mkHashed(), UseLastLine: true}
-		}},
-		{"multisticky", func() Config {
-			return Config{Geometry: cache.DM(1<<10, 16), Store: NewTableStore(false), UseLastLine: true, StickyMax: 3}
-		}},
+	return core.Must(core.Config{Geometry: geom, Store: store, UseLastLine: v.lastLine, StickyMax: v.sticky})
+}
+
+func (v deVariant) column(t *testing.T) engine.Column {
+	t.Helper()
+	col, err := multisim.NewDE(multisim.DEConfig{
+		StickyMax: max(v.sticky, 1), Hashed: v.hashed, Bits: 1,
+		AssumeHit: v.assumeHit, LastLine: v.lastLine,
+	}, v.line, []uint64{variantSize})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range variants {
+	return col
+}
+
+var deVariants = []deVariant{
+	{name: "table-lastline", line: 16, lastLine: true},
+	{name: "table-nolastline", line: 16},
+	{name: "table-assumehit", line: 4, assumeHit: true, lastLine: true},
+	{name: "hashed", line: 16, hashed: true, lastLine: true},
+	{name: "multisticky", line: 16, lastLine: true, sticky: 3},
+}
+
+// TestBatchMatchesScalar is the de-kernel differential: for every store
+// and FSM variant, the one-member column — the fast path of every
+// single de cell — driven in ragged chunks must match scalar Access in
+// Stats and in the extras (defenses, overrides, last-line hits).
+func TestBatchMatchesScalar(t *testing.T) {
+	for _, v := range deVariants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				refs := batchRefs(seed, 8000)
 
-				var scalarHooks []hookEvent
-				scalar := Must(v.cfg())
-				hookTrace(scalar, &scalarHooks)
-				for i := range refs {
-					scalar.Access(refs[i].Addr)
-				}
+				scalar := v.scalar(t)
+				cache.RunRefs(scalar, refs)
 
-				var batchHooks []hookEvent
-				batched := Must(v.cfg())
-				hookTrace(batched, &batchHooks)
+				col := v.column(t)
 				sizes := []int{1, 5, 33, 512, 2048}
-				var sum cache.Stats
 				for pos, i := 0, 0; pos < len(refs); i++ {
-					n := sizes[i%len(sizes)]
-					if pos+n > len(refs) {
-						n = len(refs) - pos
-					}
-					sum.Add(batched.BatchAccess(refs[pos : pos+n]).Stats)
+					n := min(sizes[i%len(sizes)], len(refs)-pos)
+					col.Batch(refs[pos : pos+n])
 					pos += n
 				}
+				out := col.Outcomes()[0]
 
-				if scalar.Stats() != batched.Stats() {
-					t.Errorf("seed %d: stats scalar %+v != batched %+v", seed, scalar.Stats(), batched.Stats())
+				if scalar.Stats() != out.Stats {
+					t.Errorf("seed %d: stats scalar %+v != column %+v", seed, scalar.Stats(), out.Stats)
 				}
-				if sum != batched.Stats() {
-					t.Errorf("seed %d: delta sum %+v != cumulative %+v", seed, sum, batched.Stats())
+				if !reflect.DeepEqual(scalar.Extras(), out.Extras) {
+					t.Errorf("seed %d: extras scalar %v != column %v", seed, scalar.Extras(), out.Extras)
 				}
-				if !reflect.DeepEqual(scalar.Extras(), batched.Extras()) {
-					t.Errorf("seed %d: extras scalar %v != batched %v", seed, scalar.Extras(), batched.Extras())
-				}
-				if len(scalarHooks) == 0 {
-					t.Fatalf("seed %d: no hook events; the pin is vacuous", seed)
-				}
-				if !reflect.DeepEqual(scalarHooks, batchHooks) {
-					t.Errorf("seed %d: hook sequences diverged (%d scalar, %d batch events)",
-						seed, len(scalarHooks), len(batchHooks))
-					for i := 0; i < len(scalarHooks) && i < len(batchHooks); i++ {
-						if scalarHooks[i] != batchHooks[i] {
-							t.Errorf("seed %d: first divergence at event %d: scalar %+v, batch %+v",
-								seed, i, scalarHooks[i], batchHooks[i])
-							break
-						}
-					}
-				}
-				if !reflect.DeepEqual(scalar.tags, batched.tags) ||
-					!reflect.DeepEqual(scalar.valid, batched.valid) ||
-					!reflect.DeepEqual(scalar.sticky, batched.sticky) ||
-					!reflect.DeepEqual(scalar.flag, batched.flag) {
-					t.Errorf("seed %d: FSM state diverged", seed)
-				}
-				if scalar.lastTag != batched.lastTag || scalar.lastValid != batched.lastValid {
-					t.Errorf("seed %d: last-line register diverged: scalar (%#x,%v) batch (%#x,%v)",
-						seed, scalar.lastTag, scalar.lastValid, batched.lastTag, batched.lastValid)
+				if scalar.Extras()[0].Value == 0 {
+					t.Fatalf("seed %d: no sticky defenses; the pin is vacuous", seed)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchInterleavesWithScalar pins mid-stream composition: switching
-// between Access and BatchAccess must leave the FSM, the last-line
-// register, and the hit-last store exactly where all-scalar driving
-// would.
+// TestBatchInterleavesWithScalar pins state carried across Batch calls:
+// the one-member column keeps its FSM, the last-line register, and the
+// hit-last store in locals within a call, so feeding the stream in
+// thirds must end exactly where scalar Access does.
 func TestBatchInterleavesWithScalar(t *testing.T) {
-	cfg := func() Config {
-		return Config{Geometry: cache.DM(1<<10, 16), Store: NewTableStore(false), UseLastLine: true}
-	}
+	v := deVariants[0]
 	refs := batchRefs(7, 6000)
 
-	scalar := Must(cfg())
-	for i := range refs {
-		scalar.Access(refs[i].Addr)
-	}
+	scalar := v.scalar(t)
+	cache.RunRefs(scalar, refs)
 
-	mixed := Must(cfg())
+	col := v.column(t)
 	third := len(refs) / 3
-	for i := range refs[:third] {
-		mixed.Access(refs[i].Addr)
-	}
-	mixed.BatchAccess(refs[third : 2*third])
-	for _, r := range refs[2*third:] {
-		mixed.Access(r.Addr)
-	}
+	col.Batch(refs[:third])
+	col.Batch(refs[third : 2*third])
+	col.Batch(refs[2*third:])
+	out := col.Outcomes()[0]
 
-	if scalar.Stats() != mixed.Stats() {
-		t.Errorf("stats: scalar %+v != mixed %+v", scalar.Stats(), mixed.Stats())
+	if scalar.Stats() != out.Stats {
+		t.Errorf("stats: scalar %+v != column %+v", scalar.Stats(), out.Stats)
 	}
-	if !reflect.DeepEqual(scalar.Extras(), mixed.Extras()) {
-		t.Errorf("extras: scalar %v != mixed %v", scalar.Extras(), mixed.Extras())
-	}
-	if !reflect.DeepEqual(scalar.store, mixed.store) {
-		t.Error("hit-last store contents diverged after interleaved driving")
+	if !reflect.DeepEqual(scalar.Extras(), out.Extras) {
+		t.Errorf("extras: scalar %v != column %v", scalar.Extras(), out.Extras)
 	}
 }
 
-// TestBatchEmpty pins that an empty batch is a zero-delta no-op.
+// TestBatchEmpty pins that an empty batch is a no-op on the one-member
+// column.
 func TestBatchEmpty(t *testing.T) {
-	c := Must(Config{Geometry: cache.DM(1<<10, 16), Store: NewTableStore(false), UseLastLine: true})
-	if d := c.BatchAccess(nil); d.Stats != (cache.Stats{}) {
-		t.Errorf("nil batch delta = %+v, want zero", d.Stats)
-	}
-	if c.Stats() != (cache.Stats{}) {
-		t.Errorf("empty batch advanced stats: %+v", c.Stats())
+	col := deVariants[0].column(t)
+	col.Batch(nil)
+	if out := col.Outcomes()[0]; out.Stats != (cache.Stats{}) {
+		t.Errorf("nil batch advanced stats: %+v", out.Stats)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/opt"
 	"repro/internal/patterns"
 	"repro/internal/trace"
 )
@@ -95,6 +96,22 @@ func TestBetweenLoopsWithinTwoOfOptimal(t *testing.T) {
 	s := runPattern(c, patterns.BetweenLoops(10, 10), size)
 	if s.Misses != 21 {
 		t.Errorf("misses = %d, want 21 (optimal 20 + 1)", s.Misses)
+	}
+
+	// The same bound for every loop length and iteration count up to
+	// 12, from either cold start, against the optimal cache simulated
+	// on the same stream (TestTwoPartyWithinTwoOfOptimal draws the
+	// general (a^N b^M)^K family).
+	for n := 1; n <= 12; n++ {
+		for m := 1; m <= 12; m++ {
+			refs := patterns.BetweenLoops(n, m).Refs(0, size)
+			want := opt.SimulateDM(refs, cache.DM(size, 4), false).Misses
+			for _, def := range []bool{false, true} {
+				if got := runPattern(newDE(t, size, 4, def), patterns.BetweenLoops(n, m), size).Misses; got > want+2 {
+					t.Errorf("(a^%d b^%d)^%d, assume-hit=%v: %d misses, optimal %d", n, n, m, def, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -14,14 +14,15 @@ import (
 
 // This file is the engine's one unit of work. A unit completes one or
 // more cells in one pass over their shared reference stream: a column
-// Group's single-pass multi-geometry kernel (internal/multisim) drives
-// an entire power-of-two size column, and every other cell runs as a
-// one-member unit over its own simulator. The engine's guarantees do
-// not dilute: results, Collector events, OnResult calls, retries, and
-// panic attribution remain per cell, and a run with column units
-// produces a result table indistinguishable from the cell-by-cell one
-// (grid CSV and checkpoint byte-identity against dynex-sweep -scalar,
-// which forms no columns, are pinned by cmd/dynex-sweep's tests).
+// Group's single-pass kernel (internal/multisim) drives a power-of-two
+// size column of one member or many, and every cell no Group covers
+// runs as a one-member unit over its own body (Cell.NewColumn). The
+// engine's guarantees do not dilute: results, Collector events,
+// OnResult calls, retries, and panic attribution remain per cell, and a
+// run with column units produces a result table indistinguishable from
+// the cell-by-cell one (grid CSV and checkpoint byte-identity against
+// dynex-sweep -scalar, which forms no columns, are pinned by
+// cmd/dynex-sweep's tests).
 
 // ColumnOutcome is one member cell's share of a column unit's single
 // pass: the full-stream Stats plus the policy-specific counters —
@@ -31,11 +32,12 @@ type ColumnOutcome struct {
 	Extras []cache.Counter
 }
 
-// Column is the engine-schedulable contract of a single-pass multi-cell
-// kernel (internal/multisim implements it). Batch advances every member
-// cell over the next chunk of the shared stream; the engine calls it in
-// driveChunk batches with cooperative cancellation checks in between
-// (a WholeStreamColumn gets the whole stream in one call).
+// Column is the engine-schedulable contract of a single-pass kernel
+// over one or more member cells (internal/multisim and opt.DMColumn
+// implement it, one-member columns included). Batch advances every
+// member cell over the next chunk of the shared stream; the engine
+// calls it in driveChunk batches with cooperative cancellation checks
+// in between (a WholeStreamColumn gets the whole stream in one call).
 // Outcomes returns the cumulative per-member results, parallel to the
 // owning Group's Indices.
 type Column interface {
@@ -44,8 +46,8 @@ type Column interface {
 }
 
 // WholeStreamColumn is a Column that needs the entire stream in one
-// Batch call: a kernel with future knowledge (opt's size column) or a
-// Direct cell. attemptUnit makes exactly that one call, even over an
+// Batch call: a Direct cell, whose function simulates the stream and
+// can fail. attemptUnit makes exactly that one call, even over an
 // empty stream, and then consults Err; such a unit is therefore not
 // interruptible mid-pass. A wrapper that embeds only Column hides Err,
 // and the engine then drives the column in chunks like any other, so a
@@ -174,27 +176,28 @@ func buildUnits(cells []Cell, groups []Group) ([]unit, error) {
 	return units, nil
 }
 
-// cellUnit makes cell i a one-member unit: a Policy cell's simulator
-// behind policyColumn, a Direct cell as one whole-stream call, and a cell
-// with neither (or both) as a unit whose every attempt fails with
-// errNoPolicy.
+// cellUnit makes cell i a one-member unit over the cell's own body.
 func cellUnit(i int, c Cell) unit {
-	u := unit{indices: []int{i}}
+	return unit{indices: []int{i}, newColumn: c.NewColumn}
+}
+
+// NewColumn builds the one-member unit the engine runs a cell as when
+// no Group covers it: a Policy cell's simulator behind an adapter that
+// drives one Access per reference, a Direct cell as one whole-stream
+// call, and for a cell with neither (or both) errNoPolicy.
+func (c Cell) NewColumn() (Column, error) {
 	switch {
 	case c.Policy != nil && c.Direct == nil:
-		u.newColumn = func() (Column, error) {
-			sim, err := c.Policy(c.Geometry)
-			if err != nil {
-				return nil, err
-			}
-			return policyColumn{sim}, nil
+		sim, err := c.Policy(c.Geometry)
+		if err != nil {
+			return nil, err
 		}
+		return policyColumn{sim}, nil
 	case c.Direct != nil && c.Policy == nil:
-		u.newColumn = func() (Column, error) { return &directColumn{run: c.Direct, geom: c.Geometry}, nil }
+		return &directColumn{run: c.Direct, geom: c.Geometry}, nil
 	default:
-		u.newColumn = func() (Column, error) { return nil, errNoPolicy }
+		return nil, errNoPolicy
 	}
-	return u
 }
 
 // policyColumn adapts a Policy cell's simulator to the Column contract.

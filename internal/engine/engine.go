@@ -18,8 +18,8 @@
 //   - Cancellation: when ctx is done, workers stop picking up new cells;
 //     cells never started carry ctx's error in Result.Err. Cells already
 //     running stop at the next batch boundary of the drive loop (Direct
-//     cells and whole-stream columns, which simulate in one pass,
-//     finish).
+//     cells, which simulate in one pass, and an opt column's final
+//     pass finish).
 //   - Isolation: a cell's failure — a stream or constructor error, or a
 //     panic anywhere in Stream, Policy, Direct, or Access — lands in its
 //     Result.Err without affecting other cells (see resilience.go).

@@ -329,7 +329,7 @@ func specRate(sp policy.Spec, refs []trace.Ref, geom cache.Geometry) float64 {
 // policies over the given cache sizes at one line size. The paper's
 // Figures 4, 5, 12, 14, and 15 are all instances of this sweep. Its
 // (benchmark, policy) size columns run as column units — dm and de on
-// single-pass multisim kernels, opt on a whole-stream column that
+// single-pass multisim kernels, opt on a column that
 // computes the benchmark's next uses once for every size — and the
 // figure numbers are identical either way.
 func sweepAverages(w *Workloads, kind string, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {

@@ -207,43 +207,6 @@ func (p *PanicSim) Access(addr uint64) cache.Result {
 // Stats delegates to the wrapped simulator.
 func (p *PanicSim) Stats() cache.Stats { return p.inner.Stats() }
 
-// BatchAccess keeps the wrapper transparent to the batch fast path: the
-// panic still fires at exactly the at-th access, even when that access
-// lands mid-batch, and every access before it reaches the inner
-// simulator — so a resumed or retried run sees the same prefix of work
-// a scalar drive would have done.
-func (p *PanicSim) BatchAccess(refs []trace.Ref) cache.BatchStats {
-	if p.at > p.n+uint64(len(refs)) {
-		// The whole batch precedes the scheduled panic.
-		bs := batchVia(p.inner, refs)
-		p.n += uint64(len(refs))
-		return bs
-	}
-	// The panic lands inside this batch: the prefix before it still
-	// reaches the inner simulator, exactly as scalar driving would.
-	var prefix uint64
-	if p.at > p.n+1 {
-		prefix = p.at - p.n - 1
-	}
-	batchVia(p.inner, refs[:prefix])
-	p.n += prefix + 1
-	panic(fmt.Sprintf("faultinject: injected panic at access %d", p.n))
-}
-
-// batchVia drives inner over refs through its own batch fast path when
-// it has one, and otherwise measures a scalar drive with a Stats
-// snapshot — the same delta contract cache.BatchSimulator demands.
-func batchVia(inner cache.Simulator, refs []trace.Ref) cache.BatchStats {
-	if b, ok := inner.(cache.BatchSimulator); ok {
-		return b.BatchAccess(refs)
-	}
-	before := inner.Stats()
-	for i := range refs {
-		inner.Access(refs[i].Addr)
-	}
-	return cache.BatchStats{Stats: inner.Stats().Sub(before)}
-}
-
 // SlowSim wraps a simulator to sleep before every Access — a runaway
 // cell for exercising per-cell deadlines.
 type SlowSim struct {
@@ -264,11 +227,3 @@ func (s *SlowSim) Access(addr uint64) cache.Result {
 
 // Stats delegates to the wrapped simulator.
 func (s *SlowSim) Stats() cache.Stats { return s.inner.Stats() }
-
-// BatchAccess sleeps the batch's total delay up front and delegates,
-// so a wrapped batch-capable simulator is slowed down by exactly as
-// much as scalar driving would have slowed it.
-func (s *SlowSim) BatchAccess(refs []trace.Ref) cache.BatchStats {
-	time.Sleep(s.delay * time.Duration(len(refs)))
-	return batchVia(s.inner, refs)
-}

@@ -346,11 +346,11 @@ func TestFaultSuiteChaos(t *testing.T) {
 	}
 }
 
-// TestPanicSimBatchParity checks the fault wrappers stay transparent to
-// the batch fast path: a PanicSim over a batch-capable simulator still
+// TestPanicSimBatchParity checks the panic wrapper on the per-cell
+// drive path (cache.RunRefs, as the engine runs an isolated cell): it
 // panics at exactly the scheduled access, the inner simulator sees
 // exactly the pre-panic prefix, and an unfired schedule leaves stats
-// bit-identical to scalar driving.
+// bit-identical to an unwrapped run.
 func TestPanicSimBatchParity(t *testing.T) {
 	data := traceBytes(t, 4096)
 	refs, err := fileStream(data, Schedule{})()
@@ -368,37 +368,34 @@ func TestPanicSimBatchParity(t *testing.T) {
 
 	inner := cache.MustDirectMapped(geom)
 	ps := NewPanicSim(inner, at)
-	if _, ok := cache.Simulator(ps).(cache.BatchSimulator); !ok {
-		t.Fatal("PanicSim does not implement cache.BatchSimulator")
-	}
 	func() {
 		defer func() {
 			msg := fmt.Sprint(recover())
 			if !strings.Contains(msg, fmt.Sprintf("at access %d", at)) {
-				t.Errorf("batch drive panicked with %q, want access %d", msg, at)
+				t.Errorf("drive panicked with %q, want access %d", msg, at)
 			}
 		}()
-		cache.RunRefs(ps, refs) // batches of cache.BatchChunk; panic lands mid-batch
-		t.Error("batch drive did not panic")
+		cache.RunRefs(ps, refs)
+		t.Error("drive did not panic")
 	}()
 	if inner.Stats() != prefix.Stats() {
 		t.Errorf("inner saw %+v, want the %d-access prefix %+v", inner.Stats(), at-1, prefix.Stats())
 	}
 
 	// A schedule beyond the stream never fires and the wrapper is
-	// stat-transparent on the batch path.
+	// stat-transparent.
 	clean := cache.MustDirectMapped(geom)
 	cache.RunRefs(clean, refs)
 	survivor := cache.MustDirectMapped(geom)
 	cache.RunRefs(NewPanicSim(survivor, uint64(len(refs))+1), refs)
 	if survivor.Stats() != clean.Stats() {
-		t.Errorf("unfired PanicSim batch stats %+v != clean %+v", survivor.Stats(), clean.Stats())
+		t.Errorf("unfired PanicSim stats %+v != clean %+v", survivor.Stats(), clean.Stats())
 	}
 }
 
-// TestSlowSimBatchParity checks SlowSim's batch path delegates the whole
-// batch (identical stats) while still implementing the fast-path
-// interface, so a deadline test wrapping a batch kernel stays slow.
+// TestSlowSimBatchParity checks SlowSim delegates every access on the
+// per-cell drive path (identical stats), so a deadline test wrapping a
+// cell slows it down without changing what it computes.
 func TestSlowSimBatchParity(t *testing.T) {
 	data := traceBytes(t, 2048)
 	refs, err := fileStream(data, Schedule{})()
@@ -411,12 +408,9 @@ func TestSlowSimBatchParity(t *testing.T) {
 
 	inner := cache.MustDirectMapped(geom)
 	ss := NewSlowSim(inner, 0)
-	if _, ok := cache.Simulator(ss).(cache.BatchSimulator); !ok {
-		t.Fatal("SlowSim does not implement cache.BatchSimulator")
-	}
 	cache.RunRefs(ss, refs)
 	if inner.Stats() != clean.Stats() {
-		t.Errorf("SlowSim batch stats %+v != clean %+v", inner.Stats(), clean.Stats())
+		t.Errorf("SlowSim stats %+v != clean %+v", inner.Stats(), clean.Stats())
 	}
 }
 

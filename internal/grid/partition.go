@@ -9,16 +9,15 @@ import (
 // units plus a cell-by-cell remainder (DESIGN.md §15). A column is
 // every pending cell sharing one (source, line, policy) coordinate
 // (Plan.Coords) across whatever sizes the plan holds for it, so a plan
-// need not be a full rectangle. It runs as a multisim kernel for dm,
-// de, lru and fifo, and as opt's whole-stream column, which shares one
-// next-use pass across its sizes. Columns with fewer than two members
-// stay cell-by-cell (a one-cell column has nothing to share, and the
-// cell's own batch kernel is faster than a one-member column kernel —
-// DESIGN.md §15 has the numbers), as do cells of column-ineligible
-// policies or geometries (policy.Spec.Column decides), cells the plan
-// isolates (Plan.Isolated: fault-injected cells stay on the per-cell
-// path, where the injection wrapper actually runs), and cells the
-// caller's skip function excludes (nil skips nothing).
+// need not be a full rectangle, and a lone cell is a one-member column:
+// the column kernel is the policy's one fast path. It runs as a
+// multisim kernel for dm, de, lru and fifo, and as opt's column, which
+// shares one next-use pass across its sizes. Cells of column-ineligible
+// policies or geometries (policy.Spec.Column decides) stay cell-by-cell
+// on their scalar simulator, as do cells the plan isolates
+// (Plan.Isolated: fault-injected cells stay on the per-cell path, where
+// the injection wrapper actually runs) and cells the caller's skip
+// function excludes (nil skips nothing).
 //
 // pending holds plan indices (positions into p.Cells), in the order the
 // caller will hand the corresponding cells to engine.RunGrouped; the
@@ -62,9 +61,6 @@ func (p Plan) Partition(pending []int, skip func(planIdx int) bool) []engine.Gro
 	var groups []engine.Group
 	for _, k := range keys {
 		c := cols[k]
-		if len(c.members) < 2 {
-			continue
-		}
 		sp, err := policy.Parse(k.pol)
 		if err != nil {
 			continue // Build already rejected this; be safe, not sorry

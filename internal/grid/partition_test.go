@@ -44,7 +44,7 @@ func allPending(n int) []int {
 
 // TestPartitionColumns checks the shape of a full partition: one group
 // per (source, line, eligible policy) triple spanning the whole size
-// axis — opt's whole-stream column included — with ineligible policies
+// axis — opt's column included — with ineligible policies
 // (victim) left to the per-cell remainder.
 func TestPartitionColumns(t *testing.T) {
 	plan := partitionPlan(t,
@@ -138,8 +138,8 @@ func TestPartitionPendingSubset(t *testing.T) {
 	}
 }
 
-// TestPartitionSkipAndDegenerate: skipped cells stay per-cell, and
-// single-size plans have no columns at all.
+// TestPartitionSkipAndDegenerate: skipped cells stay per-cell, and a
+// single-size plan's cells each form a one-member column.
 func TestPartitionSkipAndDegenerate(t *testing.T) {
 	plan := partitionPlan(t, []uint64{4096, 8192}, []uint64{4}, []string{"dm"})
 	skip := func(pi int) bool { return strings.HasPrefix(plan.Cells[pi].Label, "alpha/") }
@@ -152,8 +152,14 @@ func TestPartitionSkipAndDegenerate(t *testing.T) {
 	}
 
 	single := partitionPlan(t, []uint64{4096}, []uint64{4}, []string{"dm"})
-	if g := single.Partition(allPending(len(single.Cells)), nil); len(g) != 0 {
-		t.Errorf("single-size plan produced %d groups", len(g))
+	groups = single.Partition(allPending(len(single.Cells)), nil)
+	if len(groups) != len(single.Cells) {
+		t.Fatalf("single-size plan produced %d groups for %d cells", len(groups), len(single.Cells))
+	}
+	for k, g := range groups {
+		if len(g.Indices) != 1 || g.Indices[0] != k {
+			t.Errorf("group %d covers %v, want the one-member column [%d]", k, g.Indices, k)
+		}
 	}
 }
 
@@ -192,7 +198,7 @@ func TestPartitionRunGroupedMatchesCSV(t *testing.T) {
 // TestPartitionCellList groups a plan assembled from a cell list — no
 // Spec, not a full rectangle — by its coordinates alone: cells sharing
 // (source, line, policy) form a column whatever their plan positions,
-// an isolated cell stays out, and a lone coordinate stays per-cell.
+// an isolated cell stays out, and a lone coordinate is a one-member column.
 // The columns' results match the cells run one by one.
 func TestPartitionCellList(t *testing.T) {
 	full := partitionPlan(t, []uint64{4096, 8192, 16384}, []uint64{4}, []string{"dm", "de"})
@@ -209,7 +215,7 @@ func TestPartitionCellList(t *testing.T) {
 		t.Fatalf("no cell %q", label)
 	}
 	add("alpha/16384/4/dm", false)
-	add("beta/4096/4/dm", false)  // beta's only dm cell: no column
+	add("beta/4096/4/dm", false)  // beta's only dm cell: a one-member column
 	add("alpha/4096/4/dm", false) // joins alpha/16384's column
 	add("alpha/8192/4/de", false)
 	add("alpha/4096/4/de", false)
@@ -223,7 +229,7 @@ func TestPartitionCellList(t *testing.T) {
 		}
 		got = append(got, strings.Join(labels, "+"))
 	}
-	want := []string{"alpha/16384/4/dm+alpha/4096/4/dm", "alpha/8192/4/de+alpha/4096/4/de"}
+	want := []string{"alpha/16384/4/dm+alpha/4096/4/dm", "beta/4096/4/dm", "alpha/8192/4/de+alpha/4096/4/de"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("groups %q, want %q", got, want)
 	}

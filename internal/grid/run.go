@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 )
@@ -51,8 +50,10 @@ type RunOptions struct {
 	// success only once it is journaled, and no interrupted cell (a
 	// context error is not an outcome: the cell re-runs on resume).
 	Engine engine.Options
-	// Scalar is the column-free reference: no columns, and every policy
-	// simulator driven one Access per reference (cache.ScalarOnly).
+	// Scalar is the column-free reference: no column kernels, so every
+	// Policy cell runs its own simulator one Access per reference (the
+	// semantic reference the kernels are checked against) and every opt
+	// cell its Direct path.
 	Scalar bool
 	// Journaled, when non-nil, gets each journal append's plan index,
 	// latency and error. A failed append costs durability only.
@@ -92,21 +93,12 @@ func (r *Run) Execute(ctx context.Context, opts RunOptions) error {
 }
 
 // units returns the engine's input: the pending cells, in Pending
-// order, and their column groups. Under scalar no group forms and every
-// Policy cell loses its batch fast path (Direct cells have none).
+// order, and their column groups — every column-eligible cell's, lone
+// cells included as one-member columns, or none under scalar.
 func (r *Run) units(scalar bool) ([]engine.Cell, []engine.Group) {
 	cells := make([]engine.Cell, len(r.Pending))
 	for k, i := range r.Pending {
 		cells[k] = r.Plan.Cells[i]
-		if inner := cells[k].Policy; scalar && inner != nil {
-			cells[k].Policy = func(g cache.Geometry) (cache.Simulator, error) {
-				sim, err := inner(g)
-				if err != nil {
-					return nil, err
-				}
-				return cache.ScalarOnly(sim), nil
-			}
-		}
 	}
 	if scalar {
 		return cells, nil

@@ -158,26 +158,13 @@ func TestRunInjectedCellsStayOutOfColumns(t *testing.T) {
 }
 
 // TestRunScalarFormsNoColumns: -scalar's reference path hands the
-// engine no groups and only Access-driven simulators, and its results
-// match the columned run's.
+// engine no groups, so every cell runs on its own simulator (or opt's
+// Direct path), and its results match the columned run's.
 func TestRunScalarFormsNoColumns(t *testing.T) {
 	plan := partitionPlan(t, []uint64{1024, 2048, 4096}, []uint64{4, 16}, []string{"dm", "de", "opt"})
 	scalar := plan.Resume(nil)
-	cells, groups := scalar.units(true)
-	if len(groups) != 0 {
+	if _, groups := scalar.units(true); len(groups) != 0 {
 		t.Errorf("scalar run formed %d groups", len(groups))
-	}
-	for _, c := range cells {
-		if c.Policy == nil {
-			continue
-		}
-		sim, err := c.Policy(c.Geometry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := sim.(cache.BatchSimulator); ok {
-			t.Errorf("%s: scalar cell kept its batch fast path", c.Label)
-		}
 	}
 	columned := plan.Resume(nil)
 	if _, g := columned.units(false); len(g) == 0 {

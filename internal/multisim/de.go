@@ -103,13 +103,18 @@ func NewDE(cfg DEConfig, line uint64, sizes []uint64) (*DE, error) {
 }
 
 // Batch advances every member over the chunk in lockstep, mirroring
-// core.(*Cache).BatchAccess transition for transition: register hit →
-// tag hit (sticky refresh) → cold fill → sticky defense (bypass) →
+// core.(*Cache).Access transition for transition: register hit → tag
+// hit (sticky refresh) → cold fill → sticky defense (bypass) →
 // replacement with hit-last writeback. The conformance column battery
 // pins the per-member equivalence, extras included.
 //
 //dynexcheck:hot
 func (c *DE) Batch(refs []trace.Ref) {
+	c.accesses += uint64(len(refs))
+	if len(c.members) == 1 {
+		c.batchOne(refs)
+		return
+	}
 	members := c.members
 	shift := c.lineShift
 	stickyMax := c.stickyMax
@@ -172,7 +177,82 @@ func (c *DE) Batch(refs []trace.Ref) {
 		}
 	}
 	c.lastTag, c.lastValid = lastTag, lastValid
-	c.accesses += uint64(len(refs))
+}
+
+// batchOne is Batch for a one-member column, the shape every single de
+// cell runs as: the member's FSM arrays, its store and the register
+// sit in locals, and every counter accumulates in a local until the
+// chunk ends.
+//
+//dynexcheck:hot
+func (c *DE) batchOne(refs []trace.Ref) {
+	m := &c.members[0]
+	shift, mask := c.lineShift, m.setMask
+	// Sliced to mask+1 so the compiler drops most per-probe bounds checks.
+	tags, valid, sticky, flag := m.tags[:mask+1], m.valid[:mask+1], m.sticky[:mask+1], m.flag[:mask+1]
+	store := m.store
+	stickyMax := c.stickyMax
+	useLastLine := c.useLastLine
+	lastTag, lastValid := c.lastTag, c.lastValid
+	var hits, fills, bypass, evicts, llHits, defends, overrid uint64
+	for i := range refs {
+		block := refs[i].Addr >> shift
+
+		if useLastLine {
+			if lastValid && lastTag == block {
+				hits++
+				llHits++
+				continue
+			}
+			lastTag, lastValid = block, true
+		}
+
+		set := block & mask
+		if !valid[set] {
+			tags[set] = block
+			valid[set] = true
+			sticky[set] = stickyMax
+			flag[set] = true
+			fills++
+			continue
+		}
+		if tags[set] == block {
+			sticky[set] = stickyMax
+			flag[set] = true
+			hits++
+			continue
+		}
+
+		cost := uint8(1)
+		if store.Lookup(block) {
+			cost = 2
+		}
+		if sticky[set] >= cost {
+			sticky[set] -= cost
+			defends++
+			bypass++
+			continue
+		}
+
+		wasSticky := sticky[set] > 0
+		if wasSticky {
+			overrid++
+		}
+		store.Writeback(tags[set], flag[set])
+		tags[set] = block
+		sticky[set] = stickyMax
+		flag[set] = !wasSticky
+		fills++
+		evicts++
+	}
+	c.lastTag, c.lastValid = lastTag, lastValid
+	m.hits += hits
+	m.fills += fills
+	m.bypass += bypass
+	m.evicts += evicts
+	m.llHits += llHits
+	m.defends += defends
+	m.overrid += overrid
 }
 
 // Outcomes returns cumulative per-member stats and the dynamic-

@@ -57,6 +57,11 @@ func NewDM(line uint64, sizes []uint64) (*DM, error) {
 //
 //dynexcheck:hot
 func (c *DM) Batch(refs []trace.Ref) {
+	c.accesses += uint64(len(refs))
+	if len(c.members) == 1 {
+		c.batchOne(refs)
+		return
+	}
 	members := c.members
 	shift := c.lineShift
 	for i := range refs {
@@ -80,7 +85,37 @@ func (c *DM) Batch(refs []trace.Ref) {
 			members[k].hits++
 		}
 	}
-	c.accesses += uint64(len(refs))
+}
+
+// batchOne is Batch for a one-member column, the shape every single
+// cell runs as: one probe per reference with no early-out walk, and the
+// counters held in locals until the chunk ends.
+//
+//dynexcheck:hot
+func (c *DM) batchOne(refs []trace.Ref) {
+	m := &c.members[0]
+	shift, mask := c.lineShift, m.setMask
+	// Sliced to mask+1 so the compiler drops most per-probe bounds checks.
+	tags, valid := m.tags[:mask+1], m.valid[:mask+1]
+	var hits, fills, evicts uint64
+	for i := range refs {
+		block := refs[i].Addr >> shift
+		set := block & mask
+		if valid[set] {
+			if tags[set] == block {
+				hits++
+				continue
+			}
+			evicts++
+		} else {
+			valid[set] = true
+		}
+		tags[set] = block
+		fills++
+	}
+	m.hits += hits
+	m.fills += fills
+	m.evicts += evicts
 }
 
 // Outcomes returns cumulative per-member stats in constructor size

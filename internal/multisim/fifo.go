@@ -25,15 +25,18 @@ type FIFO struct {
 
 type fifoMember struct {
 	setMask uint64
-	// Way state is flat (set-major, ways contiguous), matching the
-	// cache.SetAssoc batch kernel layout.
-	tags   []uint64
-	valid  []bool
-	stamp  []uint64
+	// slots is the way state, set-major with a set's ways contiguous, so
+	// one probe touches one cache line. Fills take the first empty way,
+	// so a set's valid ways are a prefix of it.
+	slots  []fifoWay
 	hits   uint64
 	fills  uint64
 	evicts uint64
 }
+
+// fifoWay is one way: its block and its fill time. The clock ticks
+// before every fill, so a stamp of 0 marks a way never filled.
+type fifoWay struct{ tag, stamp uint64 }
 
 // NewFIFO builds a FIFO column over the given sizes (any order,
 // duplicates allowed); Outcomes reports in the same order.
@@ -49,12 +52,9 @@ func NewFIFO(line uint64, sizes []uint64, ways int) (*FIFO, error) {
 	}
 	for k, oi := range c.order {
 		nsets := sizes[oi] / (line * uint64(ways))
-		nways := nsets * uint64(ways)
 		c.members[k] = fifoMember{
 			setMask: nsets - 1,
-			tags:    make([]uint64, nways),
-			valid:   make([]bool, nways),
-			stamp:   make([]uint64, nways),
+			slots:   make([]fifoWay, nsets*uint64(ways)),
 		}
 	}
 	return c, nil
@@ -68,6 +68,11 @@ func NewFIFO(line uint64, sizes []uint64, ways int) (*FIFO, error) {
 //
 //dynexcheck:hot
 func (c *FIFO) Batch(refs []trace.Ref) {
+	c.accesses += uint64(len(refs))
+	if len(c.members) == 1 {
+		c.batchOne(refs)
+		return
+	}
 	members := c.members
 	shift := c.lineShift
 	ways := c.ways
@@ -78,41 +83,69 @@ func (c *FIFO) Batch(refs []trace.Ref) {
 		for k := range members {
 			m := &members[k]
 			base := int(block&m.setMask) * ways
-			hit := false
-			for w := base; w < base+ways; w++ {
-				if m.valid[w] && m.tags[w] == block {
-					hit = true
-					break
-				}
-			}
-			if hit {
+			if fifoProbe(m.slots[base:base+ways], block, clock, &m.evicts) {
 				m.hits++
-				continue
+			} else {
+				m.fills++
 			}
-			victim := -1
-			for w := base; w < base+ways; w++ {
-				if !m.valid[w] {
-					victim = w
-					break
-				}
-			}
-			if victim < 0 {
-				victim = base
-				for w := base + 1; w < base+ways; w++ {
-					if m.stamp[w] < m.stamp[victim] {
-						victim = w
-					}
-				}
-				m.evicts++
-			}
-			m.tags[victim] = block
-			m.valid[victim] = true
-			m.stamp[victim] = clock
-			m.fills++
 		}
 	}
 	c.clock = clock
-	c.accesses += uint64(len(refs))
+}
+
+// batchOne is Batch for a one-member column, the shape every single
+// fifo cell runs as: the member's slots and the clock sit in locals,
+// and the counters accumulate in locals until the chunk ends.
+//
+//dynexcheck:hot
+func (c *FIFO) batchOne(refs []trace.Ref) {
+	m := &c.members[0]
+	slots := m.slots
+	shift, mask, ways := c.lineShift, m.setMask, c.ways
+	clock := c.clock
+	var hits, fills, evicts uint64
+	for i := range refs {
+		clock++
+		base := int(refs[i].Addr>>shift&mask) * ways
+		if fifoProbe(slots[base:base+ways], refs[i].Addr>>shift, clock, &evicts) {
+			hits++
+		} else {
+			fills++
+		}
+	}
+	c.clock = clock
+	m.hits += hits
+	m.fills += fills
+	m.evicts += evicts
+}
+
+// fifoProbe looks block up in one set and reports a hit; on a miss it
+// fills the first empty way, or evicts the oldest fill (counting it in
+// *evicts), stamping the fill with clock.
+//
+//dynexcheck:hot
+func fifoProbe(set []fifoWay, block, clock uint64, evicts *uint64) bool {
+	victim := -1
+	for w := range set {
+		if set[w].stamp == 0 {
+			victim = w
+			break
+		}
+		if set[w].tag == block {
+			return true
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for w := 1; w < len(set); w++ {
+			if set[w].stamp < set[victim].stamp {
+				victim = w
+			}
+		}
+		*evicts++
+	}
+	set[victim] = fifoWay{tag: block, stamp: clock}
+	return false
 }
 
 // Outcomes returns cumulative per-member stats in constructor size

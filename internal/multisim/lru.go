@@ -48,7 +48,11 @@ type LRU struct {
 	groupMask uint64   // finest-set group id bits above s0
 	groupCnt  []uint32 // compaction scratch, one slot per group
 	bucket    []uint64 // walk scratch: histogram of capped tz values
-	accesses  uint64
+	// mru replaces the stacks in a one-member column: per set, a
+	// ways-deep array of its resident blocks, most recent first, of
+	// which the member's fillCnt[set] are valid.
+	mru      []uint64
+	accesses uint64
 }
 
 type lruMember struct {
@@ -81,6 +85,10 @@ func NewLRU(line uint64, sizes []uint64, ways int) (*LRU, error) {
 			setMask: nsets - 1,
 			fillCnt: make([]uint32, nsets),
 		}
+	}
+	if len(c.members) == 1 {
+		c.mru = make([]uint64, (c.members[0].setMask+1)*c.ways)
+		return c, nil
 	}
 	minSets := c.members[0].setMask + 1
 	maxSets := c.members[len(c.members)-1].setMask + 1
@@ -117,6 +125,11 @@ func NewLRU(line uint64, sizes []uint64, ways int) (*LRU, error) {
 //
 //dynexcheck:hot
 func (c *LRU) Batch(refs []trace.Ref) {
+	c.accesses += uint64(len(refs))
+	if len(c.members) == 1 {
+		c.batchOne(refs)
+		return
+	}
 	members := c.members
 	bucket := c.bucket
 	topNeed := len(bucket) - 1
@@ -183,7 +196,51 @@ func (c *LRU) Batch(refs []trace.Ref) {
 			c.stacks[si] = stack
 		}
 	}
-	c.accesses += uint64(len(refs))
+}
+
+// batchOne is Batch for a one-member column, the shape every single lru
+// cell runs as. With one set count there is nothing to share, so it
+// drops the stack walk, the tz histogram and compaction: a set's
+// recency order is its ways-deep mru row, a hit moves the block to the
+// front, and a miss pushes it there, the least recent block falling off
+// the end once the set is full. The counters stay in locals until the
+// chunk ends.
+//
+//dynexcheck:hot
+func (c *LRU) batchOne(refs []trace.Ref) {
+	m := &c.members[0]
+	mru, cnt := c.mru, m.fillCnt
+	shift, mask := c.lineShift, m.setMask
+	ways := int(c.ways)
+	var hits, fills, evicts uint64
+	for i := range refs {
+		block := refs[i].Addr >> shift
+		set := block & mask
+		n := int(cnt[set])
+		row := mru[int(set)*ways : int(set)*ways+ways]
+		j := 0
+		for j < n && row[j] != block {
+			j++
+		}
+		if j < n {
+			hits++
+		} else {
+			fills++
+			if n < ways {
+				cnt[set]++
+			} else {
+				evicts++
+				j = ways - 1
+			}
+		}
+		for ; j > 0; j-- {
+			row[j] = row[j-1]
+		}
+		row[0] = block
+	}
+	m.hits += hits
+	m.fills += fills
+	m.evicts += evicts
 }
 
 // compact drops dead stack entries in place: an entry with ways

@@ -27,6 +27,12 @@
 // insertion-order victims break it), so their kernels are plain
 // lockstep columns: full per-member state, one shared decode.
 //
+// A lone sweep cell is a one-member column, so each kernel is also its
+// family's only fast path: Batch selects a single-member loop once per
+// call, from the member count, with the member's state and counters in
+// locals (LRU keeps a ways-deep recency row per set instead of the
+// shared stacks).
+//
 // Kernels implement engine.Column. Batch methods are annotated
 // //dynexcheck:hot — all state is preallocated at construction, and the
 // hotpath-alloc analyzer (DESIGN.md §14) pins them allocation-free.

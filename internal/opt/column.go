@@ -10,30 +10,23 @@ import (
 )
 
 // DMColumn is the optimal direct-mapped cache over a size column: one
-// line size, any number of cache sizes. Its single Batch call prepares
-// the stream once and runs every member's forward pass, so the
+// line size, any number of cache sizes, one member included. It
+// prepares the stream once and runs every member's forward pass, so the
 // next-use pass is shared by the whole column.
 //
-// The policy needs the stream's whole future, so DMColumn is an
-// engine.WholeStreamColumn: the engine hands it the entire stream in
-// one Batch call. A second Batch call means the stream arrived in
-// pieces and the first pass saw only part of the future; the column
-// then fails (Err is non-nil and Outcomes is empty) rather than report
-// stats computed from a partial future. A column that never sees a
-// Batch call reports the empty stream's zero Stats.
+// The policy needs the stream's whole future, so Batch only collects
+// the stream and the first Outcomes call simulates it. The engine's
+// chunks are consecutive windows of one materialized slice, which Batch
+// re-joins without copying; any other sequence of pieces is copied into
+// a slice of the column's own. A column that never sees a Batch call
+// reports the empty stream's zero Stats.
 type DMColumn struct {
 	line     uint64
 	sizes    []uint64
 	lastLine bool
-	fed      bool
+	refs     []trace.Ref
 	outs     []engine.ColumnOutcome
-	err      error
 }
-
-var _ engine.WholeStreamColumn = (*DMColumn)(nil)
-
-// errChunked reports a DMColumn fed more than one Batch call.
-var errChunked = errors.New("opt: column needs the whole stream in one Batch call; it was fed in pieces")
 
 // NewDMColumn returns the optimal direct-mapped column over sizes at
 // one line size, with or without the §6 last-line buffer. Outcomes
@@ -51,27 +44,32 @@ func NewDMColumn(line uint64, sizes []uint64, useLastLine bool) (*DMColumn, erro
 		line:     line,
 		sizes:    append([]uint64(nil), sizes...),
 		lastLine: useLastLine,
-		outs:     make([]engine.ColumnOutcome, len(sizes)),
 	}, nil
 }
 
-// Batch simulates every member over refs, which must be the whole
-// stream.
+// Batch appends refs to the collected stream.
 func (c *DMColumn) Batch(refs []trace.Ref) {
-	if c.fed {
-		c.err, c.outs = errChunked, nil
-		return
-	}
-	c.fed = true
-	p := prepare(refs, c.line, c.lastLine)
-	for k, size := range c.sizes {
-		c.outs[k].Stats = p.simulateDM(size, 0)
+	n := len(c.refs)
+	switch {
+	case len(refs) == 0:
+	case n == 0:
+		c.refs = refs
+	case n+len(refs) <= cap(c.refs) && &c.refs[:n+1][n] == &refs[0]:
+		c.refs = c.refs[:n+len(refs)] // the next window of the same slice
+	default:
+		c.refs = append(c.refs[:n:n], refs...)
 	}
 }
 
-// Err reports a column fed in more than one Batch call.
-func (c *DMColumn) Err() error { return c.err }
-
-// Outcomes returns each member's Stats in the order of sizes, or nil
-// after a failure.
-func (c *DMColumn) Outcomes() []engine.ColumnOutcome { return c.outs }
+// Outcomes simulates every member over the collected stream on its
+// first call and returns each member's Stats in the order of sizes.
+func (c *DMColumn) Outcomes() []engine.ColumnOutcome {
+	if c.outs == nil {
+		p := prepare(c.refs, c.line, c.lastLine)
+		c.outs = make([]engine.ColumnOutcome, len(c.sizes))
+		for k, size := range c.sizes {
+			c.outs[k].Stats = p.simulateDM(size, 0)
+		}
+	}
+	return c.outs
+}

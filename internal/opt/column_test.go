@@ -156,9 +156,6 @@ func TestDMColumnMatchesPerCell(t *testing.T) {
 				t.Fatal(err)
 			}
 			col.Batch(refs)
-			if col.Err() != nil {
-				t.Fatal(col.Err())
-			}
 			outs := col.Outcomes()
 			for k, size := range sizes {
 				want := SimulateDM(refs, cache.DM(size, line), lastLine)
@@ -201,49 +198,53 @@ func newOptColumn() (engine.Column, error) {
 	return NewDMColumn(4, []uint64{1024, 2048, 4096}, false)
 }
 
-// TestDMColumnWholeStream: the engine hands the column the whole
-// stream in one call, so a grouped run equals the per-cell run over a
-// stream many drive chunks long and over an empty one; fed in pieces —
-// directly, or through a wrapper that hides Err so the engine chunks
-// it — the column fails loudly instead of reporting stats from part of
-// the future.
+// TestDMColumnWholeStream: the column simulates the whole collected
+// stream, so a grouped run — the engine feeding it in drive chunks —
+// equals the per-cell run over a stream many chunks long and over an
+// empty one. Pieces that are consecutive windows of one slice are
+// re-joined without a copy, pieces from separate slices are copied, and
+// a wrapper that hides every method but Batch and Outcomes changes
+// nothing.
 func TestDMColumnWholeStream(t *testing.T) {
 	gcc, _ := spec.ByName("gcc")
+	wrapped := func() (engine.Column, error) {
+		c, err := newOptColumn()
+		return struct{ engine.Column }{c}, err
+	}
 	for _, refs := range [][]trace.Ref{gcc.Instr(200000), nil} {
-		cells, g := optGrid(refs, newOptColumn)
-		want, err := engine.Run(context.Background(), cells, engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := engine.RunGrouped(context.Background(), cells, []engine.Group{g}, engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cells {
-			if got[i].Err != nil || got[i].Stats != want[i].Stats || got[i].Stats.Accesses != uint64(len(refs)) {
-				t.Errorf("%d refs, %s: grouped %+v, per-cell %+v", len(refs), cells[i].Label, got[i], want[i])
+		for _, newCol := range []func() (engine.Column, error){newOptColumn, wrapped} {
+			cells, g := optGrid(refs, newCol)
+			want, err := engine.Run(context.Background(), cells, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := engine.RunGrouped(context.Background(), cells, []engine.Group{g}, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cells {
+				if got[i].Err != nil || got[i].Stats != want[i].Stats || got[i].Stats.Accesses != uint64(len(refs)) {
+					t.Errorf("%d refs, %s: grouped %+v, per-cell %+v", len(refs), cells[i].Label, got[i], want[i])
+				}
 			}
 		}
 	}
 
-	refs := gcc.Instr(200000)
-	col, _ := NewDMColumn(4, []uint64{1024}, false)
-	col.Batch(refs[:1000])
-	col.Batch(refs[1000:])
-	if !errors.Is(col.Err(), errChunked) || col.Outcomes() != nil {
-		t.Errorf("column fed in two pieces: err %v, outcomes %v; want errChunked and none", col.Err(), col.Outcomes())
+	refs := gcc.Instr(20000)
+	want := SimulateDM(refs, cache.DM(1024, 4), false)
+	window, _ := NewDMColumn(4, []uint64{1024}, false)
+	window.Batch(refs[:1000])
+	window.Batch(nil)
+	window.Batch(refs[1000:])
+	if &window.refs[0] != &refs[0] || len(window.refs) != len(refs) {
+		t.Error("consecutive windows of one slice were copied")
 	}
-	cells, g := optGrid(refs, func() (engine.Column, error) {
-		c, err := newOptColumn()
-		return struct{ engine.Column }{c}, err
-	})
-	results, err := engine.RunGrouped(context.Background(), cells, []engine.Group{g}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err == nil || r.Stats != (cache.Stats{}) {
-			t.Errorf("wrapped column, %s: %+v, want an error and zero Stats", cells[i].Label, r)
+	pieces, _ := NewDMColumn(4, []uint64{1024}, false)
+	pieces.Batch(append([]trace.Ref(nil), refs[:1000]...))
+	pieces.Batch(append([]trace.Ref(nil), refs[1000:]...))
+	for name, col := range map[string]*DMColumn{"windows": window, "pieces": pieces} {
+		if got := col.Outcomes(); len(got) != 1 || got[0].Stats != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
 		}
 	}
 }
@@ -254,7 +255,7 @@ func TestDMColumnWholeStream(t *testing.T) {
 func TestDMColumnPanicAttribution(t *testing.T) {
 	gcc, _ := spec.ByName("gcc")
 	cells, g := optGrid(gcc.Instr(1000), func() (engine.Column, error) {
-		return &DMColumn{line: 3, sizes: []uint64{1024, 2048, 4096}, outs: make([]engine.ColumnOutcome, 3)}, nil
+		return &DMColumn{line: 3, sizes: []uint64{1024, 2048, 4096}}, nil
 	})
 	results, err := engine.RunGrouped(context.Background(), cells, []engine.Group{g}, engine.Options{})
 	if err != nil {
@@ -278,7 +279,7 @@ func (c failOnce) Err() error { return c.err }
 
 // TestDMColumnRetryCleanState: a retried column is rebuilt, so the
 // second attempt's single pass starts from clean state (reusing the
-// first attempt's column would be a second Batch call and fail).
+// first attempt's column would collect the stream twice).
 func TestDMColumnRetryCleanState(t *testing.T) {
 	gcc, _ := spec.ByName("gcc")
 	refs := gcc.Instr(50000)

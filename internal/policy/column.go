@@ -15,12 +15,12 @@ import (
 // Outcomes follow the order of sizes.
 //
 // Eligibility (DESIGN.md §15): dm, de (any option set), lru, and fifo
-// columns are multisim kernels. opt's column (opt.DMColumn) computes
-// the stream's next uses once for the whole column and runs a forward
-// pass per size; it is an engine.WholeStreamColumn, handed the whole
-// stream in one call. victim / stream / de-stream carry
-// auxiliary-buffer state whose traffic depends on each cell's own miss
-// sequence, so those families fall back to cell-by-cell simulation. A
+// columns are multisim kernels. opt's column (opt.DMColumn) collects
+// the stream, then computes its next uses once for the whole column and
+// runs a forward pass per size. One size is a one-member column: the
+// kernel is the policy's only fast path. victim / stream / de-stream
+// carry auxiliary-buffer state whose traffic depends on each cell's own
+// miss sequence, so those families fall back to cell-by-cell simulation. A
 // column whose member geometries do not all validate with power-of-two
 // set counts is also ineligible, so the per-cell path surfaces the
 // construction error for the right cell.

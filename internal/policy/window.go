@@ -34,10 +34,9 @@ type Measurement struct {
 // and counters cover only the remainder. warmup == 0 measures the whole
 // stream; a warmup that is negative or leaves nothing to measure is an
 // error. This is the one warmup-snapshot implementation shared by every
-// CLI and experiment. Simulators with a cache.BatchSimulator fast path
-// are driven in batches through cache.RunRefs — the warmup snapshot
-// lands between batches, and the measured stats are bit-identical to
-// scalar driving (the conformance differential battery enforces this).
+// CLI and experiment; it drives sim one Access per reference, so it is
+// the semantic reference path (a sweep cell's fast path is its column
+// kernel, DESIGN.md §15).
 func Window(sim cache.Simulator, refs []trace.Ref, warmup int) (Measurement, error) {
 	return WindowCtx(context.Background(), sim, refs, warmup)
 }
@@ -94,8 +93,7 @@ func WindowCtx(ctx context.Context, sim cache.Simulator, refs []trace.Ref, warmu
 }
 
 // runChunked drives sim over refs in windowChunk batches, checking ctx
-// between batches. cache.RunRefs applies the BatchAccess fast path
-// within each batch, so chunking changes nothing about the stats.
+// between batches; chunking changes nothing about the stats.
 //
 //dynexcheck:hot
 func runChunked(ctx context.Context, sim cache.Simulator, refs []trace.Ref) error {

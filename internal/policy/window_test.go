@@ -118,13 +118,13 @@ func TestWindowExtras(t *testing.T) {
 	}
 }
 
-// TestWindowBatchWarmupEdges pins the batch-path warmup edge cases: no
-// warmup, a warmup landing exactly on a chunk boundary, and a warmup
-// inside the final chunk must all measure byte-identically to scalar
-// driving of the same spec.
+// TestWindowBatchWarmupEdges pins the chunked drive's warmup edge
+// cases: no warmup, a warmup landing exactly on a windowChunk boundary,
+// and a warmup inside the final chunk must all measure identically to
+// one unchunked scalar pass with the snapshot taken by hand.
 func TestWindowBatchWarmupEdges(t *testing.T) {
 	geom := cache.DM(1<<10, 16)
-	n := cache.BatchChunk + 2500
+	n := windowChunk + 2500
 	refs := make([]trace.Ref, n)
 	for i := range refs {
 		switch i % 3 {
@@ -139,24 +139,28 @@ func TestWindowBatchWarmupEdges(t *testing.T) {
 	for _, spec := range []string{"dm", "de", "lru:ways=4"} {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
-			for _, warmup := range []int{0, cache.BatchChunk, n - 100} {
-				mBatch, err := Window(MustBuild(spec, geom), refs, warmup)
+			for _, warmup := range []int{0, windowChunk, n - 100} {
+				m, err := Window(MustBuild(spec, geom), refs, warmup)
 				if err != nil {
-					t.Fatalf("warmup %d (batched): %v", warmup, err)
+					t.Fatalf("warmup %d: %v", warmup, err)
 				}
-				mScalar, err := Window(cache.ScalarOnly(MustBuild(spec, geom)), refs, warmup)
-				if err != nil {
-					t.Fatalf("warmup %d (scalar): %v", warmup, err)
+				ref := MustBuild(spec, geom)
+				cache.RunRefs(ref, refs[:warmup])
+				warmStats, warmExtras := ref.Stats(), cache.SnapshotExtras(ref)
+				cache.RunRefs(ref, refs[warmup:])
+				if want := ref.Stats().Sub(warmStats); m.Stats != want {
+					t.Errorf("warmup %d: chunked %+v != unchunked %+v", warmup, m.Stats, want)
 				}
-				if mBatch.Stats != mScalar.Stats {
-					t.Errorf("warmup %d: batched %+v != scalar %+v", warmup, mBatch.Stats, mScalar.Stats)
+				var want []cache.Counter
+				if extras := cache.SnapshotExtras(ref); extras != nil {
+					want = cache.SubCounters(extras, warmExtras)
 				}
-				if len(mBatch.Extras) != len(mScalar.Extras) {
-					t.Fatalf("warmup %d: extras length %d != %d", warmup, len(mBatch.Extras), len(mScalar.Extras))
+				if len(m.Extras) != len(want) {
+					t.Fatalf("warmup %d: extras length %d != %d", warmup, len(m.Extras), len(want))
 				}
-				for i := range mScalar.Extras {
-					if mBatch.Extras[i] != mScalar.Extras[i] {
-						t.Errorf("warmup %d: extras[%d] = %+v, want %+v", warmup, i, mBatch.Extras[i], mScalar.Extras[i])
+				for i := range want {
+					if m.Extras[i] != want[i] {
+						t.Errorf("warmup %d: extras[%d] = %+v, want %+v", warmup, i, m.Extras[i], want[i])
 					}
 				}
 			}
