@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -37,36 +38,43 @@ func main() {
 	// of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dynex:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context) error {
+// run is the whole command behind a testable seam: flags in args,
+// results to stdout, diagnostics to stderr, non-nil error for exit 1. A
+// malformed flag still exits 2 with the usage text, as flag.Parse does.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dynex", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchName  = flag.String("bench", "gcc", "benchmark name from the suite (see -benches)")
-		pattern    = flag.String("pattern", "", "run a §3 pattern instead of a benchmark: between-loops, loop-levels, within-loop, three-way")
-		traceFile  = flag.String("trace", "", "replay a dynex trace file instead of a benchmark (see cmd/tracegen)")
-		kind       = flag.String("kind", "instr", "reference stream: instr, data, or mixed")
-		refs       = flag.Int("refs", 1_000_000, "number of references to simulate")
-		warmup     = flag.Int("warmup", 0, "references excluded from the reported stats (single-level policies; must leave a nonempty window)")
-		size       = flag.Uint64("size", 32<<10, "cache size in bytes")
-		line       = flag.Uint64("line", 4, "line size in bytes")
-		policyStr  = flag.String("policy", "de", "policy spec, e.g. de:sticky=2,store=hashed*4 ("+strings.Join(policy.Names(), ", ")+")")
-		lastLine   = flag.Bool("lastline", false, "force the §6 last-line buffer on/off (default: auto — enabled when line > 4)")
-		sticky     = flag.Int("sticky", 1, "sticky levels (1 = the paper's FSM)")
-		l2         = flag.Uint64("l2", 0, "add a second level of this size (bytes); 0 = single level")
-		strategy   = flag.String("strategy", "assume-hit", "hit-last storage with -l2: assume-hit, assume-miss, hashed")
-		benches    = flag.Bool("benches", false, "list benchmarks and exit")
-		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON (simulation wall time, refs/sec) to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
+		benchName  = fs.String("bench", "gcc", "benchmark name from the suite (see -benches)")
+		pattern    = fs.String("pattern", "", "run a §3 pattern instead of a benchmark: between-loops, loop-levels, within-loop, three-way")
+		traceFile  = fs.String("trace", "", "replay a dynex trace file instead of a benchmark (see cmd/tracegen)")
+		kind       = fs.String("kind", "instr", "reference stream: instr, data, or mixed")
+		refs       = fs.Int("refs", 1_000_000, "number of references to simulate")
+		warmup     = fs.Int("warmup", 0, "references excluded from the reported stats (single-level policies; must leave a nonempty window)")
+		size       = fs.Uint64("size", 32<<10, "cache size in bytes")
+		line       = fs.Uint64("line", 4, "line size in bytes")
+		policyStr  = fs.String("policy", "de", "policy spec, e.g. de:sticky=2,store=hashed*4 ("+strings.Join(policy.Names(), ", ")+")")
+		lastLine   = fs.Bool("lastline", false, "force the §6 last-line buffer on/off (default: auto — enabled when line > 4)")
+		sticky     = fs.Int("sticky", 1, "sticky levels (1 = the paper's FSM)")
+		l2         = fs.Uint64("l2", 0, "add a second level of this size (bytes); 0 = single level")
+		strategy   = fs.String("strategy", "assume-hit", "hit-last storage with -l2: assume-hit, assume-miss, hashed")
+		benches    = fs.Bool("benches", false, "list benchmarks and exit")
+		reportPath = fs.String("report", "", "write a machine-readable RunReport JSON (simulation wall time, refs/sec) to this file")
+		debugAddr  = fs.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *benches {
 		for _, p := range spec.SuiteParams() {
-			fmt.Printf("%-10s %s (%dKB code, %dKB data)\n", p.Name, p.Description, p.CodeKB, p.DataKB)
+			fmt.Fprintf(stdout, "%-10s %s (%dKB code, %dKB data)\n", p.Name, p.Description, p.CodeKB, p.DataKB)
 		}
 		return nil
 	}
@@ -79,7 +87,7 @@ func run(ctx context.Context) error {
 	// only when given explicitly — a spec option ("de:nolastline") must
 	// not be clobbered by a flag default.
 	var flagErr error
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "lastline":
 			pspec = pspec.WithLastLine(*lastLine)
@@ -103,7 +111,7 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("interrupted: %w", err)
 	}
 	geom := cache.DM(*size, *line)
-	fmt.Printf("workload: %s (%d refs)\ncache:    %s, policy %s\n\n", desc, len(streamRefs), geom, pspec)
+	fmt.Fprintf(stdout, "workload: %s (%d refs)\ncache:    %s, policy %s\n\n", desc, len(streamRefs), geom, pspec)
 
 	// -report: one telemetry cell covering the whole simulation, so the
 	// single-run CLI shares the batch drivers' RunReport format.
@@ -117,7 +125,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "dynex: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", addr)
+		fmt.Fprintf(stderr, "dynex: debug server on http://%s/metrics (pprof at /debug/pprof/)\n", addr)
 	}
 	simStart := time.Now()
 	writeReport := func() error {
@@ -128,14 +136,14 @@ func run(ctx context.Context) error {
 		if *reportPath == "" {
 			return nil
 		}
-		return col.WriteReport(*reportPath, "dynex "+strings.Join(os.Args[1:], " "))
+		return col.WriteReport(*reportPath, "dynex "+strings.Join(args, " "))
 	}
 
 	if *l2 != 0 {
 		if *warmup != 0 {
 			return fmt.Errorf("-warmup is not supported with -l2 (hierarchy counters cover the full stream)")
 		}
-		if err := runHierarchy(ctx, streamRefs, geom, *l2, *strategy, *lastLine, *sticky); err != nil {
+		if err := runHierarchy(ctx, stdout, streamRefs, geom, *l2, *strategy, *lastLine, *sticky); err != nil {
 			return err
 		}
 		return writeReport()
@@ -153,11 +161,11 @@ func run(ctx context.Context) error {
 		return err
 	}
 	if *warmup > 0 {
-		fmt.Printf("(steady state after %d warmup refs)\n", *warmup)
+		fmt.Fprintf(stdout, "(steady state after %d warmup refs)\n", *warmup)
 	}
-	fmt.Println(m.Stats)
+	fmt.Fprintln(stdout, m.Stats)
 	if len(m.Extras) > 0 {
-		fmt.Println("counters:", formatCounters(m.Extras))
+		fmt.Fprintln(stdout, "counters:", formatCounters(m.Extras))
 	}
 	return writeReport()
 }
@@ -233,7 +241,7 @@ func loadRefs(benchName, pattern, traceFile, kind string, n int, cacheSize uint6
 
 // runHierarchy drives a two-level system, honoring cancellation between
 // chunks of the drive loop.
-func runHierarchy(ctx context.Context, refs []trace.Ref, l1 cache.Geometry, l2Size uint64, strategy string, lastLine bool, sticky int) error {
+func runHierarchy(ctx context.Context, stdout io.Writer, refs []trace.Ref, l1 cache.Geometry, l2Size uint64, strategy string, lastLine bool, sticky int) error {
 	var st hierarchy.Strategy
 	switch strategy {
 	case "assume-hit":
@@ -266,8 +274,8 @@ func runHierarchy(ctx context.Context, refs []trace.Ref, l1 cache.Geometry, l2Si
 		}
 		sys.Access(r.Addr)
 	}
-	fmt.Printf("L1: %v\n", sys.L1Stats())
-	fmt.Printf("L2: %v\n", sys.L2Stats())
-	fmt.Printf("global L2 miss rate: %.4f%%\n", 100*sys.GlobalL2MissRate())
+	fmt.Fprintf(stdout, "L1: %v\n", sys.L1Stats())
+	fmt.Fprintf(stdout, "L2: %v\n", sys.L2Stats())
+	fmt.Fprintf(stdout, "global L2 miss rate: %.4f%%\n", 100*sys.GlobalL2MissRate())
 	return nil
 }

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/policy"
 )
 
 func TestFormatCounters(t *testing.T) {
@@ -35,5 +42,40 @@ func TestLoadRefsUnknownBench(t *testing.T) {
 	}
 	if _, _, err := loadRefs("gcc", "", "", "bogus-kind", 100, 1<<10); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// goldenRuns is the command lines pinned by testdata/golden.txt: every
+// registered policy name at two warmups and two line sizes, plus the
+// default two-level hierarchy.
+func goldenRuns() [][]string {
+	var runs [][]string
+	for _, name := range policy.Names() {
+		for _, warmup := range []string{"0", "5000"} {
+			for _, line := range []string{"4", "16"} {
+				runs = append(runs, []string{"-bench", "gcc", "-refs", "20000",
+					"-policy", name, "-warmup", warmup, "-line", line})
+			}
+		}
+	}
+	return append(runs, []string{"-bench", "gcc", "-refs", "20000", "-l2", "131072"})
+}
+
+// TestGolden pins the command's stdout byte-for-byte across
+// refactors of the measurement path.
+func TestGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, args := range goldenRuns() {
+		fmt.Fprintf(&b, "== dynex %s ==\n", strings.Join(args, " "))
+		if err := run(context.Background(), args, &b, io.Discard); err != nil {
+			t.Fatalf("dynex %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("output drifted from testdata/golden.txt:\n%s", got)
 	}
 }
