@@ -37,11 +37,12 @@ race:
 cover:
 	go test ./internal/... -coverprofile=cover.out && go tool cover -func=cover.out | tail -1
 
-# The facade benchmarks, then the per-layer kernel benchmarks that
-# report ns/ref (internal/opt: the next-use pass and opt size columns).
+# The facade benchmarks, then the per-layer benchmarks that report
+# ns/ref (internal/opt: the next-use pass and opt size columns;
+# internal/policy: a whole windowed single-cell measurement per family).
 bench:
 	go test -bench=. -benchmem .
-	go test -run '^$$' -bench . -benchmem ./internal/opt
+	go test -run '^$$' -bench . -benchmem ./internal/opt ./internal/policy
 
 # Machine-readable run telemetry for the committed BENCH_10.json: a
 # standard sweep with -report (see DESIGN.md §8). The grid is the

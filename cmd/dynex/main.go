@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
 	"repro/internal/patterns"
@@ -102,6 +103,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if flagErr != nil {
 		return flagErr
 	}
+	if *l2 != 0 && *policyStr != "de" {
+		return fmt.Errorf("-policy %s is not supported with -l2: the hierarchy's L1 is dynamic exclusion, configured with -sticky, -lastline and -strategy", *policyStr)
+	}
 
 	streamRefs, desc, err := loadRefs(*benchName, *pattern, *traceFile, *kind, *refs, *size)
 	if err != nil {
@@ -148,15 +152,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		return writeReport()
 	}
-	sim, err := pspec.Build(geom)
-	if err != nil {
-		return err
-	}
-	// policy.WindowCtx runs the warmup-snapshot dance for every policy,
+	// policy.Window runs the cell's fast kernel for every policy,
 	// including opt's whole-stream special case, and windows the
 	// policy-specific counters alongside the headline stats; the context
 	// makes ^C/SIGTERM stop the drive loop at the next chunk boundary.
-	m, err := policy.WindowCtx(ctx, sim, streamRefs, *warmup)
+	m, err := policy.Window(ctx, pspec, geom, streamRefs, *warmup)
 	if err != nil {
 		return err
 	}
@@ -239,8 +239,8 @@ func loadRefs(benchName, pattern, traceFile, kind string, n int, cacheSize uint6
 	}
 }
 
-// runHierarchy drives a two-level system, honoring cancellation between
-// chunks of the drive loop.
+// runHierarchy drives a two-level system through the engine's drive
+// loop, honoring cancellation between chunks.
 func runHierarchy(ctx context.Context, stdout io.Writer, refs []trace.Ref, l1 cache.Geometry, l2Size uint64, strategy string, lastLine bool, sticky int) error {
 	var st hierarchy.Strategy
 	switch strategy {
@@ -265,14 +265,13 @@ func runHierarchy(ctx context.Context, stdout io.Writer, refs []trace.Ref, l1 ca
 	if err != nil {
 		return err
 	}
-	const chunk = 1 << 15
-	for i, r := range refs {
-		if i%chunk == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted: %w", err)
-			}
-		}
-		sys.Access(r.Addr)
+	// The system is a cell body like any policy's simulator.
+	unit, err := engine.Cell{Policy: func(cache.Geometry) (cache.Simulator, error) { return sys, nil }}.NewColumn()
+	if err != nil {
+		return err
+	}
+	if err := engine.Drive(ctx, unit, refs); err != nil {
+		return fmt.Errorf("interrupted: %w", err)
 	}
 	fmt.Fprintf(stdout, "L1: %v\n", sys.L1Stats())
 	fmt.Fprintf(stdout, "L2: %v\n", sys.L2Stats())

@@ -79,3 +79,33 @@ func TestGolden(t *testing.T) {
 		t.Errorf("output drifted from testdata/golden.txt:\n%s", got)
 	}
 }
+
+// TestL2RejectsPolicy: the two-level system's L1 is always dynamic
+// exclusion, so an explicit -policy other than bare "de" is an error
+// that names the flags which do configure it, not a silently ignored
+// spec.
+func TestL2RejectsPolicy(t *testing.T) {
+	base := []string{"-bench", "gcc", "-refs", "20000", "-l2", "131072"}
+	for _, pol := range []string{"lru4", "de:sticky=3", "de-hashed", "opt"} {
+		err := run(context.Background(), append([]string{"-policy", pol}, base...), io.Discard, io.Discard)
+		if err == nil {
+			t.Errorf("-policy %s -l2: no error", pol)
+			continue
+		}
+		for _, name := range []string{"-sticky", "-lastline", "-strategy"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("-policy %s -l2: error %q does not name %s", pol, err, name)
+			}
+		}
+	}
+	var def, bare strings.Builder
+	if err := run(context.Background(), base, &def, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), append([]string{"-policy", "de"}, base...), &bare, io.Discard); err != nil {
+		t.Fatalf("-policy de -l2: %v", err)
+	}
+	if bare.String() != def.String() {
+		t.Errorf("-policy de -l2 output differs from the default:\n%s\nvs\n%s", bare.String(), def.String())
+	}
+}

@@ -34,6 +34,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cache"
@@ -246,11 +247,13 @@ type Counter = cache.Counter
 // policy's extra counters over the measured window.
 type Measurement = policy.Measurement
 
-// Measure runs sim over refs, discarding the first warmup references
-// from the returned measurement. It handles whole-stream policies (opt)
-// transparently; build sim with a PolicySpec.
-func Measure(sim Simulator, refs []Ref, warmup int) (Measurement, error) {
-	return policy.Window(sim, refs, warmup)
+// Measure runs the policy at geometry g over refs, discarding the first
+// warmup references from the returned measurement. Every policy runs on
+// its fast single-cell kernel, whole-stream ones (opt) included; the
+// result equals driving spec.Build(g)'s simulator one Access per
+// reference and subtracting the warmup snapshot.
+func Measure(spec PolicySpec, g Geometry, refs []Ref, warmup int) (Measurement, error) {
+	return policy.Window(context.Background(), spec, g, refs, warmup)
 }
 
 // Two-level hierarchy (§5; internal/hierarchy).

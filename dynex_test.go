@@ -56,11 +56,7 @@ func TestFacadePolicySpecs(t *testing.T) {
 	if got := sp.String(); got != "de:sticky=2,store=hashed*4" {
 		t.Errorf("canonical form = %q", got)
 	}
-	sim, err := sp.Build(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := repro.Measure(sim, refs, 1000)
+	m, err := repro.Measure(sp, geom, refs, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

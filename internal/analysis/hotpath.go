@@ -9,7 +9,7 @@ import (
 
 // HotPathAnalyzer is the hotpath-alloc check: a function annotated with
 // a //dynexcheck:hot doc comment (the column kernels, the trace batch
-// decode loop, the policy drive loop, the obs counter fast paths)
+// decode loop, the engine drive loop, the obs counter fast paths)
 // must not contain allocating constructs. The flagged set is the one
 // that matters at ~150M refs/sec:
 //

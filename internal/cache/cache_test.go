@@ -315,8 +315,9 @@ func TestRunDrivers(t *testing.T) {
 		t.Fatalf("limited Run = %d, %v, accesses %d", n, err, c2.Stats().Accesses)
 	}
 	c3 := MustDirectMapped(DM(64, 16))
-	if mr := MissRateOver(c3, refs); mr != 1.0 {
-		t.Errorf("MissRateOver = %v, want 1.0 (0 and 64 conflict)", mr)
+	RunRefs(c3, refs)
+	if mr := c3.Stats().MissRate(); mr != 1.0 {
+		t.Errorf("RunRefs miss rate = %v, want 1.0 (0 and 64 conflict)", mr)
 	}
 }
 

@@ -41,13 +41,6 @@ func RunRefs(sim Simulator, refs []trace.Ref) {
 	}
 }
 
-// MissRateOver runs sim over refs and returns the resulting miss rate
-// (including any accesses recorded before the call).
-func MissRateOver(sim Simulator, refs []trace.Ref) float64 {
-	RunRefs(sim, refs)
-	return sim.Stats().MissRate()
-}
-
 // ScalarOnly returns sim behind a wrapper that exposes exactly the
 // scalar Simulator surface (plus Extras when sim is Instrumented): the
 // reference a differential test compares a kernel against, with every

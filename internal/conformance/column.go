@@ -2,10 +2,12 @@ package conformance
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/opt"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -82,7 +84,7 @@ func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column,
 			t.Fatalf("seed %d: %d outcomes for %d sizes", seed, len(outs), len(sizes))
 		}
 		for k, size := range sizes {
-			stats, extras, err := cellReference(sp, cache.DM(size, line), refs)
+			stats, extras, err := cellReference(sp, cache.DM(size, line), refs, 0)
 			if err != nil {
 				t.Fatalf("seed %d size %d: per-cell reference: %v", seed, size, err)
 			}
@@ -114,24 +116,38 @@ func driveChunks(col engine.Column, refs []trace.Ref, chunks []int) {
 	}
 }
 
-// cellReference simulates one (spec, geometry) cell on its own, one
-// scalar Access per reference (cache.ScalarOnly), or through the
-// per-cell Direct path for whole-stream families, whose simulators
-// cannot be driven by Access.
-func cellReference(sp policy.Spec, geom cache.Geometry, refs []trace.Ref) (cache.Stats, []cache.Counter, error) {
-	if direct := sp.Cell().Direct; direct != nil {
-		stats, err := direct(refs, geom)
-		return stats, nil, err
+// cellReference measures one (spec, geometry) cell on its own over the
+// post-warmup window of refs: one scalar Access per reference on the
+// spec's simulator behind cache.ScalarOnly, with the warmup snapshot
+// taken by hand, or opt.SimulateDMWindow for the whole-stream policy,
+// which has no per-access simulator.
+func cellReference(sp policy.Spec, geom cache.Geometry, refs []trace.Ref, warmup int) (cache.Stats, []cache.Counter, error) {
+	if sp.Family() == "opt" {
+		g := geom
+		g.Ways = 1
+		return opt.SimulateDMWindow(refs, g, optLastLine(sp, g), warmup), nil, nil
 	}
 	sim, err := sp.Build(geom)
 	if err != nil {
 		return cache.Stats{}, nil, err
 	}
 	ref := cache.ScalarOnly(sim)
-	for i := range refs {
-		ref.Access(refs[i].Addr)
+	cache.RunRefs(ref, refs[:warmup])
+	warmStats, warmExtras := ref.Stats(), cache.SnapshotExtras(ref)
+	cache.RunRefs(ref, refs[warmup:])
+	var extras []cache.Counter
+	if warmExtras != nil {
+		extras = cache.SubCounters(cache.SnapshotExtras(ref), warmExtras)
 	}
-	return ref.Stats(), cache.SnapshotExtras(ref), nil
+	return ref.Stats().Sub(warmStats), extras, nil
+}
+
+// optLastLine resolves an opt spec's §6 last-line option as the registry
+// documents it: forced on or off by the spec, otherwise on whenever a
+// line holds more than one 4-byte instruction.
+func optLastLine(sp policy.Spec, geom cache.Geometry) bool {
+	str := sp.String()
+	return strings.HasSuffix(str, ":lastline") || geom.LineSize > 4 && !strings.HasSuffix(str, ":nolastline")
 }
 
 // CheckStackProperty asserts LRU inclusion across power-of-two sizes on

@@ -74,7 +74,7 @@ func FuzzColumnVsScalar(f *testing.F) {
 			t.Fatalf("%d outcomes for %d sizes", len(outs), len(sizes))
 		}
 		for k, size := range sizes {
-			stats, extras, err := cellReference(sp, cache.DM(size, line), refs)
+			stats, extras, err := cellReference(sp, cache.DM(size, line), refs, 0)
 			if err != nil {
 				t.Fatalf("%s size %d: per-cell reference: %v", specStr, size, err)
 			}

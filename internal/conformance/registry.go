@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -64,11 +65,7 @@ func checkDirect(t *testing.T, sp policy.Spec, geom cache.Geometry, opts Options
 	t.Helper()
 	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
 		refs := refStream(seed, opts.Refs)
-		sim, err := sp.Build(geom)
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		m, err := policy.Window(sim, refs, 0)
+		m, err := policy.Window(context.Background(), sp, geom, refs, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -84,11 +81,7 @@ func checkDirect(t *testing.T, sp policy.Spec, geom cache.Geometry, opts Options
 		}
 
 		// Determinism: an identical fresh run measures identically.
-		sim2, err := sp.Build(geom)
-		if err != nil {
-			t.Fatalf("rebuild: %v", err)
-		}
-		m2, err := policy.Window(sim2, refs, 0)
+		m2, err := policy.Window(context.Background(), sp, geom, refs, 0)
 		if err != nil {
 			t.Fatalf("seed %d rerun: %v", seed, err)
 		}
@@ -99,11 +92,7 @@ func checkDirect(t *testing.T, sp policy.Spec, geom cache.Geometry, opts Options
 		// Warmup accounting: the measured window covers exactly the
 		// post-warmup suffix.
 		warm := len(refs) / 4
-		sim3, err := sp.Build(geom)
-		if err != nil {
-			t.Fatalf("rebuild: %v", err)
-		}
-		mw, err := policy.Window(sim3, refs, warm)
+		mw, err := policy.Window(context.Background(), sp, geom, refs, warm)
 		if err != nil {
 			t.Fatalf("seed %d warmup: %v", seed, err)
 		}

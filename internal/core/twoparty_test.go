@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,11 +61,7 @@ func TestTwoPartyWithinTwoOfOptimal(t *testing.T) {
 // misses runs spec over refs at geom from a cold cache.
 func misses(t *testing.T, spec string, geom cache.Geometry, refs []trace.Ref) uint64 {
 	t.Helper()
-	sim, err := policy.MustParse(spec).Build(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := policy.Window(sim, refs, 0)
+	m, err := policy.Window(context.Background(), policy.MustParse(spec), geom, refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,28 +36,13 @@ type ColumnOutcome struct {
 // over one or more member cells (internal/multisim and opt.DMColumn
 // implement it, one-member columns included). Batch advances every
 // member cell over the next chunk of the shared stream; the engine
-// calls it in driveChunk batches with cooperative cancellation checks
-// in between (a WholeStreamColumn gets the whole stream in one call).
-// Outcomes returns the cumulative per-member results, parallel to the
-// owning Group's Indices.
+// drives it with Drive's loop, in DriveChunk batches with cooperative
+// cancellation checks in between (a Direct cell's unit gets the whole
+// stream in one call instead). Outcomes returns the cumulative
+// per-member results, parallel to the owning Group's Indices.
 type Column interface {
 	Batch(refs []trace.Ref)
 	Outcomes() []ColumnOutcome
-}
-
-// WholeStreamColumn is a Column that needs the entire stream in one
-// Batch call: a Direct cell, whose function simulates the stream and
-// can fail. attemptUnit makes exactly that one call, even over an
-// empty stream, and then consults Err; such a unit is therefore not
-// interruptible mid-pass. A wrapper that embeds only Column hides Err,
-// and the engine then drives the column in chunks like any other, so a
-// whole-stream kernel must fail on a second Batch call (Err, or too few
-// Outcomes) rather than report stats from part of the stream.
-type WholeStreamColumn interface {
-	Column
-	// Err reports the failure of the one pass; Outcomes is not
-	// consulted when it is non-nil.
-	Err() error
 }
 
 // Group schedules one column unit over member cells of a RunGrouped
@@ -209,21 +194,36 @@ func (c policyColumn) Outcomes() []ColumnOutcome {
 	return []ColumnOutcome{{Stats: c.sim.Stats(), Extras: cache.SnapshotExtras(c.sim)}}
 }
 
-// directColumn adapts a Direct cell as a WholeStreamColumn: its one
-// Batch call is the whole simulation, and a failure surfaces through
-// Err.
+// directColumn is a Direct cell's unit. Its function needs the entire
+// stream in one call and can fail, so attemptUnit recognizes this type,
+// makes exactly that one Batch call, even over an empty stream, and
+// then consults err; the unit is therefore not interruptible mid-pass.
+// A wrapper that hides the type gets driven in chunks like any other
+// column, so a second Batch call fails the unit (Outcomes returns
+// nothing) rather than report stats from part of the stream.
 type directColumn struct {
-	run   DirectFunc
-	geom  cache.Geometry
-	stats cache.Stats
-	err   error
+	run    DirectFunc
+	geom   cache.Geometry
+	called bool
+	stats  cache.Stats
+	err    error
 }
 
-func (c *directColumn) Batch(refs []trace.Ref) { c.stats, c.err = c.run(refs, c.geom) }
+func (c *directColumn) Batch(refs []trace.Ref) {
+	if c.called {
+		c.err = errors.New("engine: a Direct cell was fed its stream in pieces")
+		return
+	}
+	c.called = true
+	c.stats, c.err = c.run(refs, c.geom)
+}
 
-func (c *directColumn) Err() error { return c.err }
-
-func (c *directColumn) Outcomes() []ColumnOutcome { return []ColumnOutcome{{Stats: c.stats}} }
+func (c *directColumn) Outcomes() []ColumnOutcome {
+	if c.err != nil {
+		return nil
+	}
+	return []ColumnOutcome{{Stats: c.stats}}
+}
 
 // runUnit executes one unit: every member cell starts together, the
 // kernel makes one pass over the shared stream per attempt, transiently
@@ -320,26 +320,44 @@ func attemptUnit(ctx context.Context, u unit, cells []Cell, timeout time.Duratio
 	if err != nil {
 		return nil, err
 	}
-	if whole, ok := col.(WholeStreamColumn); ok {
-		whole.Batch(refs) // one call, even over an empty stream
-		if err := whole.Err(); err != nil {
-			return nil, err
+	if direct, ok := col.(*directColumn); ok {
+		direct.Batch(refs) // one call, even over an empty stream
+		if direct.err != nil {
+			return nil, direct.err
 		}
-	} else {
-		for len(refs) > 0 {
-			n := min(driveChunk, len(refs))
-			col.Batch(refs[:n])
-			refs = refs[n:]
-			if len(refs) > 0 {
-				if err := stepErr(ctx, deadline); err != nil {
-					return nil, err
-				}
-			}
-		}
+	} else if err := drive(ctx, deadline, col, refs); err != nil {
+		return nil, err
 	}
 	outs = col.Outcomes()
 	if len(outs) != len(u.indices) {
 		return nil, fmt.Errorf("engine: column produced %d outcomes for %d member cells", len(outs), len(u.indices))
 	}
 	return outs, nil
+}
+
+// Drive feeds refs to col through the engine's drive loop: DriveChunk
+// references per Batch call, with a cooperative ctx check between
+// calls, so a long single-cell run stops promptly on cancellation.
+// Chunking changes nothing about what col computes. This is the loop
+// every unit of a run goes through; policy.Window uses it for a
+// windowed measurement.
+func Drive(ctx context.Context, col Column, refs []trace.Ref) error {
+	return drive(ctx, time.Time{}, col, refs)
+}
+
+// drive is Drive with an optional attempt deadline (zero: none).
+//
+//dynexcheck:hot
+func drive(ctx context.Context, deadline time.Time, col Column, refs []trace.Ref) error {
+	for len(refs) > 0 {
+		n := min(DriveChunk, len(refs))
+		col.Batch(refs[:n])
+		refs = refs[n:]
+		if len(refs) > 0 {
+			if err := stepErr(ctx, deadline); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -163,11 +163,11 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]Result, error) {
 	return RunGrouped(ctx, cells, nil, opts)
 }
 
-// driveChunk is the number of references simulated between cooperative
+// DriveChunk is the number of references simulated between cooperative
 // cancellation/deadline checks of the drive loop: small enough that a
 // runaway cell is caught promptly, large enough that the check cost
 // vanishes against the simulation.
-const driveChunk = 1 << 15
+const DriveChunk = 1 << 15
 
 // stepErr is the cooperative check between simulation batches.
 func stepErr(ctx context.Context, deadline time.Time) error {

@@ -341,11 +341,11 @@ func TestConcurrentSweep(t *testing.T) {
 }
 
 // TestDirectCellWholeStream pins the Direct cell's unit shape: one call
-// with the whole materialized stream, never driveChunk slices, and a
+// with the whole materialized stream, never DriveChunk slices, and a
 // failing call surfaces its own error with zero Stats and nil Extras.
 func TestDirectCellWholeStream(t *testing.T) {
 	boom := errors.New("boom")
-	n := 3*driveChunk + 5
+	n := 3*DriveChunk + 5
 	var calls, seen atomic.Int64
 	direct := func(fail bool) DirectFunc {
 		return func(refs []trace.Ref, g cache.Geometry) (cache.Stats, error) {

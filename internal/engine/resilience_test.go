@@ -216,7 +216,7 @@ func flakyStreamErr(refs []trace.Ref, fails int, err error) func() ([]trace.Ref,
 // a fast sibling completes.
 func TestFaultCellTimeout(t *testing.T) {
 	geom := cache.DM(64, 4)
-	slowRefs := seqRefs(0, driveChunk+1) // at least one inter-batch check
+	slowRefs := seqRefs(0, DriveChunk+1) // at least one inter-batch check
 	cells := []Cell{
 		{Label: "runaway", Geometry: geom,
 			Stream: func() ([]trace.Ref, error) {
@@ -333,7 +333,7 @@ func TestCancelMidSweepRace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n = 48
-	refs := seqRefs(0, 3*driveChunk+7) // several batch boundaries per cell
+	refs := seqRefs(0, 3*DriveChunk+7) // several batch boundaries per cell
 	cells := make([]Cell, n)
 	for i := range cells {
 		cells[i] = Cell{

@@ -309,16 +309,12 @@ func missRates(rs []engine.Result) []float64 {
 // meanMiss is the suite-average miss rate of one point's results.
 func meanMiss(rs []engine.Result) float64 { return metrics.Mean(missRates(rs)) }
 
-// specRate builds the spec's simulator for geom and returns its
-// full-stream miss rate over a stream outside the suite (the §3
-// patterns). Experiments panic on build errors: every spec here is a
-// literal, so a failure is a programming error.
+// specRate returns the spec's full-stream miss rate at geom over a
+// stream outside the suite (the §3 patterns). Experiments panic on
+// errors: every spec here is a literal, so a failure is a programming
+// error.
 func specRate(sp policy.Spec, refs []trace.Ref, geom cache.Geometry) float64 {
-	sim, err := sp.Build(geom)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	m, err := policy.Window(sim, refs, 0)
+	m, err := policy.Window(context.Background(), sp, geom, refs, 0)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}

@@ -269,13 +269,11 @@ func TestDMColumnPanicAttribution(t *testing.T) {
 	}
 }
 
-// failOnce is a DMColumn whose first attempt fails after its pass.
-type failOnce struct {
-	engine.Column
-	err error
-}
+// failOnce is a DMColumn that fails its attempt after its pass: it
+// reports no outcomes.
+type failOnce struct{ engine.Column }
 
-func (c failOnce) Err() error { return c.err }
+func (failOnce) Outcomes() []engine.ColumnOutcome { return nil }
 
 // TestDMColumnRetryCleanState: a retried column is rebuilt, so the
 // second attempt's single pass starts from clean state (reusing the
@@ -287,7 +285,7 @@ func TestDMColumnRetryCleanState(t *testing.T) {
 	cells, g := optGrid(refs, func() (engine.Column, error) {
 		c, err := newOptColumn()
 		if attempts++; attempts == 1 {
-			return failOnce{c, errors.New("transient")}, err
+			return failOnce{c}, err
 		}
 		return c, err
 	})

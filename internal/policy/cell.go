@@ -16,11 +16,7 @@ func (s Spec) Cell() engine.Cell {
 	if fam.Direct {
 		return engine.Cell{
 			Direct: func(refs []trace.Ref, geom cache.Geometry) (cache.Stats, error) {
-				sim, err := s.Build(geom)
-				if err != nil {
-					return cache.Stats{}, err
-				}
-				return sim.(WindowDirect).SimulateWindow(refs, 0)
+				return s.optWindow(refs, geom, 0)
 			},
 		}
 	}

@@ -22,9 +22,11 @@ type Family struct {
 	// Aliases are legacy spec names that expand to this family with
 	// preset options (e.g. "de-hashed" → "de:store=hashed*4").
 	Aliases []string
-	// Direct marks whole-stream policies (Belady-optimal): the built
-	// simulator implements WindowDirect and panics on Access, so it must
-	// be driven through policy.Window or engine.Cell.Direct.
+	// Direct marks whole-stream policies (Belady-optimal): every
+	// decision needs the stream's future, so there is no per-access
+	// simulator and Build fails. Measure one with policy.Window, or run
+	// it as a sweep cell through Spec.Cell (an engine.Cell.Direct body)
+	// or Spec.Column.
 	Direct bool
 	// EventualHit reports whether re-referencing one address enough
 	// times must eventually hit — true for every online policy here;
@@ -167,9 +169,9 @@ func (s Spec) hitLastStore(geom cache.Geometry) (core.HitLastStore, error) {
 
 // Build constructs the spec's simulator for the given geometry. The
 // geometry's Ways field is ignored by the direct-mapped families (dm,
-// de, de-stream, opt, victim, stream) and overridden by ways= for
-// lru/fifo. Direct families return a simulator that only supports the
-// WindowDirect path (Access panics).
+// de, de-stream, victim, stream) and overridden by ways= for
+// lru/fifo. Direct families have no per-access simulator, so Build
+// returns an error for them.
 func (s Spec) Build(geom cache.Geometry) (cache.Simulator, error) {
 	switch s.family {
 	case "dm":
@@ -210,12 +212,7 @@ func (s Spec) Build(geom cache.Geometry) (cache.Simulator, error) {
 			StickyMax: s.sticky,
 		}, s.depth)
 	case "opt":
-		g := geom
-		g.Ways = 1
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-		return &optSim{geom: g, lastLine: s.lastLineEnabled(g)}, nil
+		return nil, fmt.Errorf("policy: %s needs the whole stream's future and has no per-access simulator; measure it with policy.Window, or run it through Spec.Cell or Spec.Column", s)
 	case "lru", "fifo":
 		g := geom
 		g.Ways = s.ways

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -35,12 +36,12 @@ func TestNamesAllParseAndBuild(t *testing.T) {
 			t.Errorf("Parse(%q): %v", name, err)
 			continue
 		}
-		sim, err := sp.Build(geom)
-		if err != nil {
-			t.Errorf("Build(%q): %v", name, err)
+		fam, _ := familyByName(sp.Family())
+		if _, err := sp.Build(geom); (err == nil) == fam.Direct {
+			t.Errorf("Build(%q): err %v, want an error exactly for whole-stream families", name, err)
 			continue
 		}
-		m, err := Window(sim, refs, 0)
+		m, err := Window(context.Background(), sp, geom, refs, 0)
 		if err != nil {
 			t.Errorf("Window(%q): %v", name, err)
 			continue
@@ -212,7 +213,7 @@ func TestCellShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opt Direct: %v", err)
 	}
-	m, err := Window(MustBuild("opt", geom), refs, 0)
+	m, err := Window(context.Background(), MustParse("opt"), geom, refs, 0)
 	if err != nil {
 		t.Fatalf("opt Window: %v", err)
 	}

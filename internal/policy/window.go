@@ -5,57 +5,35 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/opt"
 	"repro/internal/trace"
 )
 
-// WindowDirect is implemented by simulators that cannot be driven one
-// access at a time because the policy consumes the whole stream's future
-// (Belady-optimal). Window detects it and delegates the entire
-// measurement, warmup included.
-type WindowDirect interface {
-	SimulateWindow(refs []trace.Ref, warmup int) (cache.Stats, error)
-}
-
 // Measurement is the outcome of one windowed run: the warmup-subtracted
 // stats, plus the policy-specific counters over the same window. Extras
-// is non-nil exactly when the simulator is cache.Instrumented — on the
-// incremental and the WindowDirect path alike (a WindowDirect simulator
-// is responsible for window-scoping its own counters; the runner
-// subtracts whatever the counters held before the call, so repeated
-// measurements on one simulator stay delta-correct).
+// is non-nil exactly when the spec's unit reports counters (the
+// whole-stream opt policy has none).
 type Measurement struct {
 	Stats  cache.Stats
 	Extras []cache.Counter
 }
 
-// Window drives sim over refs and measures the post-warmup window: the
-// first warmup references prime the simulator, and the returned stats
+// Window measures the spec at geom over the post-warmup window of refs:
+// the first warmup references prime the cache, and the returned stats
 // and counters cover only the remainder. warmup == 0 measures the whole
 // stream; a warmup that is negative or leaves nothing to measure is an
 // error. This is the one warmup-snapshot implementation shared by every
-// CLI and experiment; it drives sim one Access per reference, so it is
-// the semantic reference path (a sweep cell's fast path is its column
-// kernel, DESIGN.md §15).
-func Window(sim cache.Simulator, refs []trace.Ref, warmup int) (Measurement, error) {
-	return WindowCtx(context.Background(), sim, refs, warmup)
-}
-
-// windowChunk is the number of references driven between cooperative
-// cancellation checks of WindowCtx — the same order of magnitude as the
-// engine's drive chunk, so an interrupt is honored promptly while the
-// check cost vanishes against the simulation.
-const windowChunk = 1 << 15
-
-// WindowCtx is Window with cooperative cancellation: the stream is
-// driven in windowChunk batches and ctx is checked between them, so a
-// long single-cell run (cmd/dynex) stops promptly on SIGINT/SIGTERM
-// instead of finishing the whole stream. The warmup snapshot still lands
-// exactly on the warmup boundary, and an uncancelled WindowCtx run is
-// bit-identical to Window. WindowDirect simulators run the whole
-// measurement in one call and are only interruptible before it starts —
-// the same caveat the engine's Direct cells carry.
-func WindowCtx(ctx context.Context, sim cache.Simulator, refs []trace.Ref, warmup int) (Measurement, error) {
+// CLI and experiment.
+//
+// Window runs the cell's engine unit (Unit) through the engine's drive
+// loop, so ctx is checked between chunks and a long single-cell run
+// stops promptly on cancellation; the warmup snapshot of the unit's
+// Outcomes lands exactly on the warmup boundary. The whole-stream opt
+// policy needs the stream's future for every decision, so it is
+// simulated in one opt.SimulateDMWindow call, interruptible only before
+// it starts.
+func Window(ctx context.Context, s Spec, geom cache.Geometry, refs []trace.Ref, warmup int) (Measurement, error) {
 	if warmup < 0 {
 		return Measurement{}, fmt.Errorf("policy: negative warmup %d", warmup)
 	}
@@ -65,74 +43,51 @@ func WindowCtx(ctx context.Context, sim cache.Simulator, refs []trace.Ref, warmu
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err
 	}
-	if direct, ok := sim.(WindowDirect); ok {
-		warmExtras := cache.SnapshotExtras(sim)
-		stats, err := direct.SimulateWindow(refs, warmup)
-		if err != nil {
-			return Measurement{}, err
-		}
-		m := Measurement{Stats: stats}
-		if extras := cache.SnapshotExtras(sim); extras != nil {
-			m.Extras = cache.SubCounters(extras, warmExtras)
-		}
-		return m, nil
+	if s.family == "opt" {
+		stats, err := s.optWindow(refs, geom, warmup)
+		return Measurement{Stats: stats}, err
 	}
-	if err := runChunked(ctx, sim, refs[:warmup]); err != nil {
+	unit, err := s.Unit(geom)()
+	if err != nil {
 		return Measurement{}, err
 	}
-	warmStats := sim.Stats()
-	warmExtras := cache.SnapshotExtras(sim)
-	if err := runChunked(ctx, sim, refs[warmup:]); err != nil {
+	if err := engine.Drive(ctx, unit, refs[:warmup]); err != nil {
 		return Measurement{}, err
 	}
-	m := Measurement{Stats: sim.Stats().Sub(warmStats)}
-	if extras := cache.SnapshotExtras(sim); extras != nil {
-		m.Extras = cache.SubCounters(extras, warmExtras)
+	warm := unit.Outcomes()[0]
+	if err := engine.Drive(ctx, unit, refs[warmup:]); err != nil {
+		return Measurement{}, err
+	}
+	out := unit.Outcomes()[0]
+	m := Measurement{Stats: out.Stats.Sub(warm.Stats)}
+	if out.Extras != nil {
+		m.Extras = cache.SubCounters(out.Extras, warm.Extras)
 	}
 	return m, nil
 }
 
-// runChunked drives sim over refs in windowChunk batches, checking ctx
-// between batches; chunking changes nothing about the stats.
-//
-//dynexcheck:hot
-func runChunked(ctx context.Context, sim cache.Simulator, refs []trace.Ref) error {
-	for len(refs) > 0 {
-		n := windowChunk
-		if n > len(refs) {
-			n = len(refs)
-		}
-		cache.RunRefs(sim, refs[:n])
-		refs = refs[n:]
-		if len(refs) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+// Unit returns the constructor of the unit the engine runs one cell of
+// the spec at geom as: the spec's one-member column kernel where Column
+// accepts it, and otherwise the cell's own body behind
+// engine.Cell.NewColumn. Window drives it, and the single-cell
+// conformance battery checks it against scalar Access.
+func (s Spec) Unit(geom cache.Geometry) func() (engine.Column, error) {
+	if newCol, ok := s.Column(geom.LineSize, []uint64{geom.Size}); ok {
+		return newCol
 	}
-	return nil
+	cell := s.Cell()
+	cell.Geometry = geom
+	return cell.NewColumn
 }
 
-// optSim adapts the whole-stream optimal simulator to the registry's
-// Build interface. It is driven exclusively through the WindowDirect
-// path; Access panics because the policy is undefined without the
-// stream's future.
-type optSim struct {
-	geom     cache.Geometry
-	lastLine bool
-}
-
-func (o *optSim) Access(uint64) cache.Result {
-	panic("policy: the optimal policy needs the whole stream's future; drive it with policy.Window, not Access")
-}
-
-func (o *optSim) Stats() cache.Stats { return cache.Stats{} }
-
-// SimulateWindow implements WindowDirect via opt.SimulateDMWindow. The
-// geometry was validated at Build, so the call cannot panic.
-func (o *optSim) SimulateWindow(refs []trace.Ref, warmup int) (cache.Stats, error) {
-	if warmup < 0 || (warmup > 0 && warmup >= len(refs)) {
-		return cache.Stats{}, fmt.Errorf("policy: bad warmup %d for %d references", warmup, len(refs))
+// optWindow simulates the whole-stream optimal policy over refs at geom
+// (Ways ignored), measuring after warmup. An invalid geometry is an
+// error, checked before opt.SimulateDMWindow, which would panic on it.
+func (s Spec) optWindow(refs []trace.Ref, geom cache.Geometry, warmup int) (cache.Stats, error) {
+	g := geom
+	g.Ways = 1
+	if err := g.Validate(); err != nil {
+		return cache.Stats{}, err
 	}
-	return opt.SimulateDMWindow(refs, o.geom, o.lastLine, warmup), nil
+	return opt.SimulateDMWindow(refs, g, s.lastLineEnabled(g), warmup), nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
+	"repro/internal/opt"
 	"repro/internal/trace"
 )
 
@@ -39,8 +41,7 @@ func TestWindowValidation(t *testing.T) {
 		{0, 0, true}, // no warmup requested: empty stream is the caller's problem
 	}
 	for _, c := range cases {
-		sim := cache.MustDirectMapped(cache.DM(64, 4))
-		_, err := Window(sim, conflictRefs(c.n), c.warmup)
+		_, err := Window(context.Background(), MustParse("dm"), cache.DM(64, 4), conflictRefs(c.n), c.warmup)
 		if (err == nil) != c.ok {
 			t.Errorf("Window(warmup=%d, n=%d) = %v, want ok=%v", c.warmup, c.n, err, c.ok)
 		}
@@ -60,7 +61,7 @@ func TestWindowStats(t *testing.T) {
 	prefix := cache.MustDirectMapped(geom)
 	cache.RunRefs(prefix, refs[:warmup])
 
-	m, err := Window(cache.MustDirectMapped(geom), refs, warmup)
+	m, err := Window(context.Background(), MustParse("dm"), geom, refs, warmup)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestWindowStats(t *testing.T) {
 		t.Errorf("window accesses = %d, want %d", m.Stats.Accesses, len(refs)-warmup)
 	}
 	if m.Extras != nil {
-		t.Errorf("uninstrumented simulator returned extras %+v", m.Extras)
+		t.Errorf("uninstrumented policy returned extras %+v", m.Extras)
 	}
 }
 
@@ -83,8 +84,7 @@ func TestWindowExtras(t *testing.T) {
 	refs := conflictRefs(400)
 	const warmup = 100
 
-	sim := MustBuild("de", geom)
-	m, err := Window(sim, refs, warmup)
+	m, err := Window(context.Background(), MustParse("de"), geom, refs, warmup)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -92,12 +92,17 @@ func TestWindowExtras(t *testing.T) {
 		t.Fatalf("window accesses = %d", m.Stats.Accesses)
 	}
 
-	// Replay just the prefix on a fresh simulator: window + prefix
-	// counters must add up to the full-stream counters.
+	// Replay the prefix and the whole stream on fresh simulators: window
+	// + prefix counters must add up to the full-stream counters.
 	pre := MustBuild("de", geom)
 	cache.RunRefs(pre, refs[:warmup])
 	preExtras := cache.SnapshotExtras(pre)
-	fullExtras := cache.SnapshotExtras(sim)
+	full := MustBuild("de", geom)
+	cache.RunRefs(full, refs)
+	fullExtras := cache.SnapshotExtras(full)
+	if len(m.Extras) != len(fullExtras) {
+		t.Fatalf("window extras %+v, full-stream extras %+v", m.Extras, fullExtras)
+	}
 	var defenses uint64
 	for i := range fullExtras {
 		if m.Extras[i].Name != fullExtras[i].Name {
@@ -119,12 +124,13 @@ func TestWindowExtras(t *testing.T) {
 }
 
 // TestWindowBatchWarmupEdges pins the chunked drive's warmup edge
-// cases: no warmup, a warmup landing exactly on a windowChunk boundary,
-// and a warmup inside the final chunk must all measure identically to
-// one unchunked scalar pass with the snapshot taken by hand.
+// cases: no warmup, a warmup landing exactly on an engine.DriveChunk
+// boundary, and a warmup inside the final chunk must all measure
+// identically to one unchunked scalar pass with the snapshot taken by
+// hand.
 func TestWindowBatchWarmupEdges(t *testing.T) {
 	geom := cache.DM(1<<10, 16)
-	n := windowChunk + 2500
+	n := engine.DriveChunk + 2500
 	refs := make([]trace.Ref, n)
 	for i := range refs {
 		switch i % 3 {
@@ -136,11 +142,11 @@ func TestWindowBatchWarmupEdges(t *testing.T) {
 			refs[i] = trace.Ref{Addr: uint64(i) * 4 % (1 << 13)}
 		}
 	}
-	for _, spec := range []string{"dm", "de", "lru:ways=4"} {
+	for _, spec := range []string{"dm", "de", "lru:ways=4", "victim"} {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
-			for _, warmup := range []int{0, windowChunk, n - 100} {
-				m, err := Window(MustBuild(spec, geom), refs, warmup)
+			for _, warmup := range []int{0, engine.DriveChunk, n - 100} {
+				m, err := Window(context.Background(), MustParse(spec), geom, refs, warmup)
 				if err != nil {
 					t.Fatalf("warmup %d: %v", warmup, err)
 				}
@@ -168,106 +174,103 @@ func TestWindowBatchWarmupEdges(t *testing.T) {
 	}
 }
 
-// instrumentedDirect is a WindowDirect simulator that also carries
-// counters, for pinning the Extras contract on the direct path.
-type instrumentedDirect struct {
-	windows uint64
-}
-
-func (s *instrumentedDirect) Access(uint64) cache.Result { panic("drive via Window") }
-func (s *instrumentedDirect) Stats() cache.Stats         { return cache.Stats{} }
-func (s *instrumentedDirect) Extras() []cache.Counter {
-	return []cache.Counter{{Name: "windows", Value: s.windows}}
-}
-func (s *instrumentedDirect) SimulateWindow(refs []trace.Ref, warmup int) (cache.Stats, error) {
-	s.windows++
-	return cache.Stats{Accesses: uint64(len(refs) - warmup)}, nil
-}
-
-// TestWindowDirectExtrasContract pins the Measurement contract on the
-// WindowDirect path: Extras is non-nil (and delta-scoped to the call)
-// exactly when the simulator is Instrumented — the same rule as the
-// incremental path, so callers never branch on how a spec is driven.
+// TestWindowDirectExtrasContract pins the Measurement contract: Extras
+// is non-nil exactly when the policy has counters — on a column kernel
+// (de), a cell's own simulator (victim), and the whole-stream path
+// (opt, none) alike, so callers never branch on how a spec is driven —
+// and every measurement is its own, so a repeat reports the same delta
+// rather than a cumulative count.
 func TestWindowDirectExtrasContract(t *testing.T) {
 	refs := conflictRefs(100)
-	sim := &instrumentedDirect{}
-	m, err := Window(sim, refs, 10)
-	if err != nil {
-		t.Fatalf("Window: %v", err)
-	}
-	if len(m.Extras) != 1 || m.Extras[0] != (cache.Counter{Name: "windows", Value: 1}) {
-		t.Errorf("first measurement extras = %+v, want windows=1", m.Extras)
-	}
-	// A second measurement on the same simulator must report only its own
-	// delta, not the cumulative counter.
-	m2, err := Window(sim, refs, 10)
-	if err != nil {
-		t.Fatalf("Window: %v", err)
-	}
-	if len(m2.Extras) != 1 || m2.Extras[0] != (cache.Counter{Name: "windows", Value: 1}) {
-		t.Errorf("second measurement extras = %+v, want delta windows=1", m2.Extras)
+	geom := cache.DM(64, 4)
+	for spec, instrumented := range map[string]bool{"dm": false, "de": true, "victim": true, "opt": false} {
+		first, err := Window(context.Background(), MustParse(spec), geom, refs, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if (first.Extras != nil) != instrumented {
+			t.Errorf("%s: extras %+v, want non-nil=%v", spec, first.Extras, instrumented)
+		}
+		second, err := Window(context.Background(), MustParse(spec), geom, refs, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if second.Stats != first.Stats || len(second.Extras) != len(first.Extras) {
+			t.Fatalf("%s: second measurement %+v != first %+v", spec, second, first)
+		}
+		for i := range first.Extras {
+			if second.Extras[i] != first.Extras[i] {
+				t.Errorf("%s: second measurement extras[%d] = %+v, want %+v", spec, i, second.Extras[i], first.Extras[i])
+			}
+		}
 	}
 }
 
-// TestWindowDirect checks the whole-stream path: opt is measured through
-// WindowDirect with the same warmup semantics, and its Access panics
-// with a pointer at the right entry point.
+// TestWindowDirect checks the whole-stream path: opt is measured by
+// opt.SimulateDMWindow with the same warmup semantics, an invalid
+// geometry is an error rather than a panic, and Build refuses opt with
+// a pointer at the right entry points.
 func TestWindowDirect(t *testing.T) {
 	geom := cache.DM(64, 4)
 	refs := conflictRefs(200)
 	const warmup = 37
 
-	sim := MustBuild("opt", geom)
-	m, err := Window(sim, refs, warmup)
+	sp := MustParse("opt")
+	m, err := Window(context.Background(), sp, geom, refs, warmup)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
 	if m.Stats.Accesses != uint64(len(refs)-warmup) {
 		t.Errorf("opt window accesses = %d, want %d", m.Stats.Accesses, len(refs)-warmup)
 	}
+	if want := opt.SimulateDMWindow(refs, geom, false, warmup); m.Stats != want {
+		t.Errorf("opt window = %+v, want %+v", m.Stats, want)
+	}
 	if m.Extras != nil {
 		t.Errorf("direct path returned extras %+v", m.Extras)
 	}
-	if _, err := Window(sim, refs, len(refs)); err == nil {
+	if _, err := Window(context.Background(), sp, geom, refs, len(refs)); err == nil {
 		t.Error("opt Window with warmup == len(refs) succeeded, want error")
 	}
+	if _, err := Window(context.Background(), sp, cache.DM(96, 4), refs, 0); err == nil {
+		t.Error("opt Window at a non-power-of-two geometry succeeded, want error")
+	}
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("opt Access did not panic")
+	_, err = sp.Build(geom)
+	if err == nil {
+		t.Fatal("Build(opt) succeeded, want an error")
+	}
+	for _, name := range []string{"Window", "Cell", "Column"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("Build(opt) error %q does not point at %s", err, name)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "policy.Window") {
-			t.Errorf("opt Access panic %v does not point at policy.Window", r)
-		}
-	}()
-	sim.Access(0)
+	}
 }
 
 // TestWindowCtxCancel pins the graceful-cancel path the single-run CLI
-// relies on: a cancelled context stops the chunked drive loop with the
-// context's error, while an uncancelled WindowCtx run is bit-identical
-// to Window.
+// relies on: a cancelled context stops the drive loop with the
+// context's error, while an uncancelled run is bit-identical to one
+// scalar pass.
 func TestWindowCtxCancel(t *testing.T) {
 	geom := cache.DM(64, 4)
 	// Two chunks' worth of references so a mid-stream check exists.
-	refs := conflictRefs(3 * windowChunk / 2)
+	refs := conflictRefs(3 * engine.DriveChunk / 2)
 
-	want, err := Window(MustBuild("de", geom), refs, 100)
+	got, err := Window(context.Background(), MustParse("de"), geom, refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := WindowCtx(context.Background(), MustBuild("de", geom), refs, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats != want.Stats {
-		t.Errorf("WindowCtx stats %+v != Window stats %+v", got.Stats, want.Stats)
+	want := MustBuild("de", geom)
+	cache.RunRefs(want, refs)
+	if got.Stats != want.Stats() {
+		t.Errorf("Window stats %+v != scalar stats %+v", got.Stats, want.Stats())
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := WindowCtx(cancelled, MustBuild("de", geom), refs, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled WindowCtx err = %v, want context.Canceled", err)
+	for _, spec := range []string{"de", "opt"} {
+		if _, err := Window(cancelled, MustParse(spec), geom, refs, 0); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: pre-cancelled Window err = %v, want context.Canceled", spec, err)
+		}
 	}
 }
